@@ -154,13 +154,9 @@ def run_mcep(
                 dt = per_trend * float(max(exact.values(), default=0))
                 counts = exact
                 modelled_any = True
-            for q in qs:
-                rr.results[(q.qid, start)] = {"COUNT(*)": float(counts[q.qid])}
-            rr.window_wall[start] = rr.window_wall.get(start, 0.0) + dt
-            rr.total_wall += dt
             m = Metrics(events=len(evs), stored_events=len(nodes), ops=enumerated)
             m.peak_mem_bytes = len(nodes) * 32 + 64  # shared graph + trend buffer
-            rr.metrics.absorb(m)
+            rr.record(start, {q.qid: {"COUNT(*)": float(counts[q.qid])} for q in qs}, dt, m)
             rr.notes["trends"] = rr.notes.get("trends", 0) + enumerated
     rr.notes["modelled"] = modelled_any
     return rr

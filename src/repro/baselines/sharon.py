@@ -112,12 +112,8 @@ def run_sharon(
                 for qid in set(owners[key]):
                     counts[qid] += arr[-1]
             dt = time.perf_counter() - t0
-            for q in qs:
-                rr.results[(q.qid, start)] = {"COUNT(*)": float(counts[q.qid])}
-            rr.window_wall[start] = rr.window_wall.get(start, 0.0) + dt
-            rr.total_wall += dt
             m = Metrics(events=len(evs), ops=ops)
             m.peak_mem_bytes = sum(len(v) for v in per_pattern.values()) * 8
-            rr.metrics.absorb(m)
+            rr.record(start, {q.qid: {"COUNT(*)": float(counts[q.qid])} for q in qs}, dt, m)
     rr.notes["peak_counters"] = total_counters
     return rr

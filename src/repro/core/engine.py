@@ -10,6 +10,10 @@ system:
 - ``greta``             — the non-shared GRETA baseline (§3.2, Eq. 4 loop)
 - ``sharon`` / ``mcep`` — baselines (repro.baselines)
 
+``window_executors`` is the one map from a system to the engines that
+evaluate a window instance; ``run_system`` and the Spark streaming
+operator both drive them.
+
 Windows: each (window, slide) signature is evaluated per window
 *instance* (DESIGN.md substitution: cross-window pane sharing is prior
 work, not the contribution). Latency is the wall-clock to process a
@@ -21,13 +25,14 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Optional, Sequence
 
 from .events import Event
 from .greta import GretaState
 from .hamlet import HamletSetEngine, Metrics
 from .queries import Query
-from .template import SharableSet, pane_size, sharable_sets
+from .template import pane_size, sharable_sets
 
 SYSTEMS = ("hamlet", "hamlet-static", "hamlet-nonshared", "greta", "sharon", "mcep")
 
@@ -55,6 +60,15 @@ class RunResult:
     def throughput(self) -> float:
         """Events processed per second across the run."""
         return self.n_events / self.total_wall if self.total_wall > 0 else 0.0
+
+    def record(self, start: float, results: dict, dt: float, metrics: Metrics) -> None:
+        """Book one evaluation of window instance ``start`` (§6.1): its
+        per-query results, ``dt`` seconds of latency and its counters."""
+        for qid, aggs in results.items():
+            self.results[(qid, start)] = aggs
+        self.window_wall[start] = self.window_wall.get(start, 0.0) + dt
+        self.total_wall += dt
+        self.metrics.absorb(metrics)
 
     def merge(self, other: "RunResult") -> None:
         """Combine results from another group's run (Spark partitions)."""
@@ -96,6 +110,67 @@ def _engine_groups(workload: Sequence[Query]):
     return groups
 
 
+class GretaSetEngine:
+    """Non-shared GRETA (§3.2) over one window instance of a query set.
+
+    Eq. 4 prices non-shared execution as k independent per-query graphs;
+    this engine holds exactly those (one :class:`GretaState` per query)
+    behind the :class:`HamletSetEngine` interface. Each event is offered
+    to every query, so ``m.events`` counts ``k`` per event, and peak memory
+    is the k concurrently-live graphs (each query replicates its matched
+    events)."""
+
+    def __init__(self, queries: Sequence[Query]):
+        self.states = [GretaState(q) for q in queries]
+        self.m = Metrics()
+
+    def on_event(self, e: Event) -> None:
+        self.m.events += len(self.states)
+        for st in self.states:
+            st.on_event(e)
+
+    def end_window(self) -> None:
+        self.m.stored_events = sum(st.n_stored for st in self.states)
+        self.m.ops = sum(st.ops for st in self.states)
+        self.m.peak_mem_bytes = self.m.stored_events * 32
+
+    def results(self) -> dict[str, dict[str, float]]:
+        return {st.q.qid: st.results() for st in self.states}
+
+
+_MODES = {"hamlet": "dynamic", "hamlet-static": "static", "hamlet-nonshared": "nonshared"}
+
+
+def window_executors(workload: Sequence[Query], system: str) -> list[tuple]:
+    """The per-window executors that evaluate ``workload`` under ``system``.
+
+    Returns ``(window, slide, new_engine)`` entries: ``new_engine()`` builds
+    a fresh engine (``on_event``, ``end_window``, ``results``, ``.m``) for
+    one window instance of its queries. ``greta`` gets one entry per
+    (window, slide) signature; the Hamlet systems get one per engine group,
+    and a non-Kleene singleton runs on GRETA.
+    """
+    if system == "greta":
+        sigs: dict[tuple, list[Query]] = {}
+        for q in workload:
+            sigs.setdefault((q.window, q.slide), []).append(q)
+        return [(w, s, partial(GretaSetEngine, qs)) for (w, s), qs in sigs.items()]
+    if system not in _MODES:
+        raise ValueError(
+            f"unknown system {system!r}: window executors exist for "
+            f"{', '.join(('greta', *_MODES))}"
+        )
+    entries = []
+    for queries, ketype, pane in _engine_groups(workload):
+        if ketype is None:
+            new_engine = partial(GretaSetEngine, queries)
+        else:
+            mode = _MODES[system] if len(queries) > 1 else "nonshared"
+            new_engine = partial(HamletSetEngine, queries, ketype, mode=mode, pane=pane)
+        entries.append((queries[0].window, queries[0].slide, new_engine))
+    return entries
+
+
 def run_system(
     events: Sequence[Event],
     workload: Sequence[Query],
@@ -105,7 +180,6 @@ def run_system(
     mcep_max_trends: int = 200_000,
 ) -> RunResult:
     """Evaluate ``workload`` over one group's time-sorted ``events``."""
-    events = sorted(events, key=lambda e: e.time)
     if system in ("sharon", "mcep"):
         from ..baselines import mcep as _mcep
         from ..baselines import sharon as _sharon
@@ -114,66 +188,15 @@ def run_system(
             return _sharon.run_sharon(events, workload, l_max=sharon_l)
         return _mcep.run_mcep(events, workload, max_trends=mcep_max_trends)
 
-    rr = RunResult(system=system)
-    rr.n_events = len(events)
-    if system == "greta":
-        # window-major so peak memory reflects the k concurrently-live
-        # per-query graphs (each query replicates its matched events, §3.2)
-        sigs: dict[tuple, list[Query]] = {}
-        for q in workload:
-            sigs.setdefault((q.window, q.slide), []).append(q)
-        for (window, slide), qs in sigs.items():
-            for start, evs in window_instances(events, window, slide):
-                win_mem = 0
-                for q in qs:
-                    t0 = time.perf_counter()
-                    st = GretaState(q)
-                    for e in evs:
-                        st.on_event(e)
-                    res = st.results()
-                    dt = time.perf_counter() - t0
-                    rr.results[(q.qid, start)] = res
-                    rr.window_wall[start] = rr.window_wall.get(start, 0.0) + dt
-                    rr.total_wall += dt
-                    win_mem += st.n_stored * 32
-                    rr.metrics.absorb(
-                        Metrics(events=len(evs), stored_events=st.n_stored, ops=st.ops)
-                    )
-                rr.metrics.peak_mem_bytes = max(rr.metrics.peak_mem_bytes, win_mem)
-        return rr
-
-    mode = {
-        "hamlet": "dynamic",
-        "hamlet-static": "static",
-        "hamlet-nonshared": "nonshared",
-    }[system]
-    for queries, ketype, pane in _engine_groups(workload):
-        q0 = queries[0]
-        for start, evs in window_instances(events, q0.window, q0.slide):
+    executors = window_executors(workload, system)
+    events = sorted(events, key=lambda e: e.time)
+    rr = RunResult(system=system, n_events=len(events))
+    for window, slide, new_engine in executors:
+        for start, evs in window_instances(events, window, slide):
             t0 = time.perf_counter()
-            if ketype is None:
-                # pure event-sequence query: GRETA state is the executor
-                st = GretaState(q0)
-                for e in evs:
-                    st.on_event(e)
-                res = {q0.qid: st.results()}
-                eng_metrics = Metrics(events=len(evs), stored_events=st.n_stored, ops=st.ops)
-            else:
-                eng = HamletSetEngine(
-                    queries,
-                    ketype,
-                    mode=mode if len(queries) > 1 else "nonshared",
-                    pane=pane,
-                )
-                for e in evs:
-                    eng.on_event(e)
-                eng.end_window()
-                res = eng.results()
-                eng_metrics = eng.m
-            dt = time.perf_counter() - t0
-            for qid, aggs in res.items():
-                rr.results[(qid, start)] = aggs
-            rr.window_wall[start] = rr.window_wall.get(start, 0.0) + dt
-            rr.total_wall += dt
-            rr.metrics.absorb(eng_metrics)
+            eng = new_engine()
+            for e in evs:
+                eng.on_event(e)
+            eng.end_window()
+            rr.record(start, eng.results(), time.perf_counter() - t0, eng.m)
     return rr

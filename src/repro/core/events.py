@@ -9,7 +9,7 @@ stored on the event itself.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import pandas as pd
 
@@ -56,24 +56,3 @@ def events_from_pandas(pdf: pd.DataFrame, attr_cols: Sequence[str]) -> list[Even
         )
     return out
 
-
-def split_into_panes(events: Sequence[Event], pane_size: float, t0: float = 0.0) -> Iterator[tuple[int, list[Event]]]:
-    """Yield ``(pane_index, events)`` for consecutive panes of ``pane_size``.
-
-    Panes are the unit of sharability across overlapping windows (§3.1) and
-    the unit of micro-batching in the streaming runtime. Empty panes between
-    occupied ones are skipped (they carry no decisions).
-    """
-    bucket: list[Event] = []
-    current = None
-    for e in events:
-        idx = int((e.time - t0) // pane_size)
-        if current is None:
-            current = idx
-        if idx != current:
-            yield current, bucket
-            bucket = []
-            current = idx
-        bucket.append(e)
-    if current is not None and bucket:
-        yield current, bucket

@@ -49,9 +49,6 @@ class SnapshotTable:
         self.vals: dict[int, dict[str, tuple]] = {}
         self.archive: dict[int, dict[str, tuple]] = {}  # gc'd values (audit/tests)
         self._next_id = ONE_ID + 1
-        # metrics (paper Table 2: s_c created / entries maintained)
-        self.created = 0
-        self.entries = 0
 
     def set_one(self, per_query_start: dict[str, int]) -> None:
         """Install the constant ONE snapshot: per-query start contribution."""
@@ -63,8 +60,6 @@ class SnapshotTable:
         sid = self._next_id
         self._next_id += 1
         self.vals[sid] = per_query
-        self.created += 1
-        self.entries += len(per_query)
         return sid
 
     def value(self, sid: int, qid: str, channel: int):

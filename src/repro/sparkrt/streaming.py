@@ -31,8 +31,10 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from ..core.events import Event
+from ..core.engine import window_executors
+from ..core.events import Event, events_from_pandas
 from ..core.queries import Query
+from ..streams import ATTR_COLS
 
 FLUSH_TYPE = "__flush__"
 
@@ -41,9 +43,8 @@ EVENT_SCHEMA = StructType(
         StructField("time", DoubleType()),
         StructField("etype", StringType()),
         StructField("gkey", LongType()),
-        StructField("v", DoubleType()),
-        StructField("w", DoubleType()),
     ]
+    + [StructField(c, DoubleType()) for c in ATTR_COLS]
 )
 OUT_SCHEMA = StructType(
     [
@@ -54,33 +55,8 @@ OUT_SCHEMA = StructType(
         StructField("value", DoubleType()),
     ]
 )
+OUT_COLS = OUT_SCHEMA.fieldNames()
 STATE_SCHEMA = StructType([StructField("blob", BinaryType())])
-
-
-def _new_window_engines(workload: Sequence[Query], mode: str):
-    """Live engines for one window instance (one per engine group)."""
-    from ..core.engine import _engine_groups
-    from ..core.greta import GretaState
-    from ..core.hamlet import HamletSetEngine
-
-    engines = []
-    for queries, ketype, pane in _engine_groups(workload):
-        if ketype is None:
-            engines.append(("greta", queries[0].qid, GretaState(queries[0])))
-        else:
-            engines.append(
-                (
-                    "hamlet",
-                    None,
-                    HamletSetEngine(
-                        queries,
-                        ketype,
-                        mode=mode if len(queries) > 1 else "nonshared",
-                        pane=pane,
-                    ),
-                )
-            )
-    return engines
 
 
 def make_stateful_func(workload: Sequence[Query], system: str, window: float):
@@ -96,11 +72,8 @@ def make_stateful_func(workload: Sequence[Query], system: str, window: float):
     for q in workload:
         if q.window != window or q.slide != window:
             raise ValueError("streaming runtime supports one tumbling window size")
-    mode = {
-        "hamlet": "dynamic",
-        "hamlet-static": "static",
-        "hamlet-nonshared": "nonshared",
-    }[system]
+    # the factories stay in this closure: the pickled state holds engines only
+    new_engines = [new for _, _, new in window_executors(workload, system)]
 
     def func(key, pdf_iter, state: GroupState):
         gkey = int(key[0])
@@ -110,39 +83,29 @@ def make_stateful_func(workload: Sequence[Query], system: str, window: float):
             st = {"engines": {}, "done": set(), "max_t": -math.inf}
         events: list[Event] = []
         for pdf in pdf_iter:
-            for row in pdf.itertuples(index=False):
-                st["max_t"] = max(st["max_t"], float(row.time))
-                if row.etype != FLUSH_TYPE:
-                    events.append(
-                        Event(float(row.time), row.etype, {"v": float(row.v), "w": float(row.w)})
-                    )
+            st["max_t"] = max(st["max_t"], float(pdf["time"].max()))
+            events += events_from_pandas(pdf[pdf["etype"] != FLUSH_TYPE], ATTR_COLS)
         events.sort(key=lambda e: e.time)
         for e in events:
             wid = int(e.time // window)
             if wid in st["done"]:
                 continue  # late event past emission — dropped
             if wid not in st["engines"]:
-                st["engines"][wid] = _new_window_engines(workload, mode)
-            for kind, qid, eng in st["engines"][wid]:
+                st["engines"][wid] = [new() for new in new_engines]
+            for eng in st["engines"][wid]:
                 eng.on_event(e)
         rows = []
         for wid in sorted(st["engines"]):
             if (wid + 1) * window <= st["max_t"]:
-                ws = wid * window
-                for kind, qid, eng in st["engines"].pop(wid):
-                    if kind == "greta":
-                        per_query = {qid: eng.results()}
-                    else:
-                        eng.end_window()
-                        per_query = eng.results()
-                    for q_id, aggs in per_query.items():
+                ws = float(wid * window)
+                for eng in st["engines"].pop(wid):
+                    eng.end_window()
+                    for qid, aggs in eng.results().items():
                         for agg, val in aggs.items():
-                            rows.append((gkey, float(ws), q_id, agg, float(val)))
+                            rows.append((gkey, ws, qid, agg, float(val)))
                 st["done"].add(wid)
         state.update((pickle.dumps(st),))
-        yield pd.DataFrame(
-            rows, columns=["gkey", "window_start", "qid", "agg", "value"]
-        )
+        yield pd.DataFrame(rows, columns=OUT_COLS)
 
     return func
 
@@ -170,8 +133,7 @@ def write_pane_files(pdf: pd.DataFrame, pane: float, out_dir: str, window: float
             "time": [t_flush] * pdf["gkey"].nunique(),
             "etype": [FLUSH_TYPE] * pdf["gkey"].nunique(),
             "gkey": sorted(pdf["gkey"].unique()),
-            "v": 0.0,
-            "w": 0.0,
+            **{c: 0.0 for c in ATTR_COLS},
         }
     )
     path = os.path.join(out_dir, f"{n:05d}.json")
@@ -220,5 +182,5 @@ def run_stream(
     finally:
         q.stop()
     if not collected:
-        return pd.DataFrame(columns=["gkey", "window_start", "qid", "agg", "value"])
+        return pd.DataFrame(columns=OUT_COLS)
     return pd.concat(collected, ignore_index=True)

@@ -38,6 +38,13 @@ def test_run_system_rejects_nothing_silently():
     assert set(SYSTEMS) == {
         "hamlet", "hamlet-static", "hamlet-nonshared", "greta", "sharon", "mcep"
     }
+    from repro.sparkrt.streaming import make_stateful_func
+
+    q = Query(qid="a", elems=seq(Atom("A"), Kleene("B")), window=10.0, slide=10.0)
+    with pytest.raises(ValueError, match="hamlet-static"):
+        run_system([_ev(1.0, "A")], [q], "nope")
+    with pytest.raises(ValueError, match="hamlet-static"):
+        make_stateful_func([q], "sharon", 10.0)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -95,3 +102,7 @@ def test_mixed_workload_with_non_kleene_query():
     rr = run_system(events, qs, "hamlet")
     assert rr.results[("k", 0.0)]["COUNT(*)"] == 3.0
     assert rr.results[("nk", 0.0)]["COUNT(*)"] == 2.0
+    # the non-Kleene query's GRETA graph counts toward peak memory as in greta
+    greta_mem = run_system(events, qs[1:], "greta").metrics.peak_mem_bytes
+    for system in ("hamlet", "hamlet-static", "hamlet-nonshared"):
+        assert run_system(events, qs[1:], system).metrics.peak_mem_bytes == greta_mem > 0

@@ -4,10 +4,19 @@ output must equal the batch engine's."""
 import pandas as pd
 import pytest
 
+from repro.core.engine import run_system
+from repro.core.events import events_from_pandas
+from repro.core.queries import Atom, Query, seq
 from repro.core.workloads import workload1
 from repro.sparkrt.batch import run_workload_spark
-from repro.sparkrt.streaming import run_stream, write_pane_files
-from repro.streams import ridesharing_stream, to_spark
+from repro.sparkrt.streaming import (
+    FLUSH_TYPE,
+    OUT_COLS,
+    make_stateful_func,
+    run_stream,
+    write_pane_files,
+)
+from repro.streams import ATTR_COLS, ridesharing_stream, to_spark
 
 WINDOW = 20.0
 PANE = 10.0
@@ -59,8 +68,7 @@ def test_streaming_emits_all_windows(streamed, stream_pdf):
 
 
 def test_streaming_rejects_mixed_windows(spark, tmp_path):
-    from repro.core.queries import Atom, Kleene, Query, seq
-    from repro.sparkrt.streaming import make_stateful_func
+    from repro.core.queries import Kleene
 
     wl = [
         Query(qid="a", elems=seq(Atom("R"), Kleene("T")), window=20.0, slide=20.0),
@@ -68,3 +76,44 @@ def test_streaming_rejects_mixed_windows(spark, tmp_path):
     ]
     with pytest.raises(ValueError):
         make_stateful_func(wl, "hamlet", 20.0)
+
+
+class _StubGroupState:
+    """The part of Spark's GroupState the stateful function uses."""
+
+    def __init__(self):
+        self.get = None
+
+    @property
+    def exists(self):
+        return self.get is not None
+
+    def update(self, row):
+        self.get = row
+
+
+@pytest.mark.parametrize("system", ["hamlet", "hamlet-static", "hamlet-nonshared"])
+def test_stateful_func_equals_run_system(stream_pdf, workload, system):
+    """Spark-free: one call per pane, the pickled state carried between
+    calls, then the flush row; rows must equal the in-process engine's."""
+    wl = workload + [Query(qid="nk", elems=seq(Atom("R"), Atom("T")), window=WINDOW, slide=WINDOW)]
+    func = make_stateful_func(wl, system, WINDOW)
+    t_flush = (stream_pdf["time"].max() // WINDOW + 2) * WINDOW
+    got, want = [], []
+    for gkey, grp in stream_pdf.groupby("gkey"):
+        state = _StubGroupState()
+        panes = [pane for _, pane in grp.groupby(grp["time"] // PANE)]
+        panes.append(grp.iloc[[-1]].assign(time=t_flush, etype=FLUSH_TYPE))
+        for pane in panes:
+            got.extend(func((gkey,), iter([pane]), state))
+        rr = run_system(events_from_pandas(grp, ATTR_COLS), wl, system)
+        want += [
+            (gkey, ws, qid, agg, val)
+            for (qid, ws), aggs in rr.results.items()
+            for agg, val in aggs.items()
+        ]
+    key = ["gkey", "window_start", "qid", "agg"]
+    got = pd.concat([f for f in got if len(f)]).sort_values(key).reset_index(drop=True)
+    want = pd.DataFrame(want, columns=OUT_COLS).sort_values(key).reset_index(drop=True)
+    assert got["qid"].eq("nk").any() and len(panes) >= 4
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
