@@ -18,12 +18,21 @@ def main() -> None:
     evs += [_ev(3 + i, "B") for i in range(4)]
     evs += [_ev(7, "A"), _ev(8, "A"), _ev(9, "C"), _ev(10, "C"), _ev(11, "C"), _ev(12, "B")]
     eng = HamletSetEngine([q1, q2], "B", mode="static", pane=100.0)
+    # record each snapshot's values as the engine creates it (a closed
+    # graphlet's snapshots are dropped)
+    vals = {}
+    create = eng.S.create
+
+    def record(per_query):
+        sid = create(per_query)
+        vals[sid] = per_query
+        return sid
+
+    eng.S.create = record
     for e in evs:
         eng.on_event(e)
     eng.end_window()
-    vals = {**eng.S.archive, **eng.S.vals}
-    sids = sorted(i for i in vals if i != 0)
-    x, y = sids[0], sids[1]
+    x, y = sorted(vals)[:2]
     print("Table 4 | snapshot | paper (q1, q2) | ours (q1, q2)")
     print(f"        | x        | (2, 1)         | ({vals[x]['q1'][0]}, {vals[x]['q2'][0]})")
     print(f"        | y        | (34, 19)       | ({vals[y]['q1'][0]}, {vals[y]['q2'][0]})")

@@ -27,7 +27,7 @@ from ..core.events import Event
 from ..core.greta import GretaState
 from ..core.hamlet import Metrics
 from ..core.queries import Query
-from ..core.template import build_template
+from ..core.template import build_template, edge_ok, end_ok
 
 
 class _QueryCtx:
@@ -52,33 +52,7 @@ class _QueryCtx:
         return self.node_ok(e) and e.etype in self.tpl.start
 
     def edge_ok(self, prev: Event, cur: Event) -> bool:
-        if not self.node_ok(cur):
-            return False
-        for edge in self.tpl.pt.get(cur.etype, ()):
-            if edge.ptype != prev.etype:
-                continue
-            if edge.blocker is not None and any(
-                prev.time < t < cur.time for t in self.blockers.get(edge.blocker, ())
-            ):
-                continue
-            if (
-                self.q.edge_pred is not None
-                and cur.etype in self.tpl.kleene
-                and prev.etype == cur.etype
-                and not self.q.edge_pred.ok(prev, cur)
-            ):
-                continue
-            return True
-        return False
-
-    def end_ok(self, e: Event) -> bool:
-        if e.etype not in self.tpl.end:
-            return False
-        if self.tpl.trailing_neg is not None and any(
-            t > e.time for t in self.blockers.get(self.tpl.trailing_neg, ())
-        ):
-            return False
-        return True
+        return self.node_ok(cur) and edge_ok(self.q, self.tpl, prev, cur, self.blockers)
 
 
 def run_mcep(
@@ -114,7 +88,7 @@ def run_mcep(
                 cur = path[-1]
                 ended = False
                 for i, c in enumerate(ctxs):
-                    if mask[i] and c.end_ok(cur):
+                    if mask[i] and end_ok(c.tpl, cur, c.blockers):
                         counts[c.q.qid] += 1  # aggregation step
                         ended = True
                 if ended:

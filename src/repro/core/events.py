@@ -42,7 +42,7 @@ def events_from_pandas(pdf: pd.DataFrame, attr_cols: Sequence[str]) -> list[Even
 
     The conversion is the bridge between the Spark/pandas world and the
     per-partition Python engines; it is deliberately simple and allocation
-    conscious (single ``itertuples`` pass).
+    conscious (each column read once as a numpy array, then one pass by row).
     """
     pdf = pdf.sort_values("time", kind="mergesort")
     cols = [c for c in attr_cols if c in pdf.columns]

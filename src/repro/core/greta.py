@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .events import Event
-from .queries import AggSpec, Query
-from .template import Template, build_template
+from .queries import Query
+from .template import Template, build_template, edge_ok, end_ok
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,35 @@ def channels_for(q: Query) -> tuple[Channel, ...]:
         if c not in chans:
             chans.append(c)
     return tuple(chans)
+
+
+def aggregates(
+    q: Query,
+    channels: Sequence[Channel],
+    cnt: int,
+    chan: Sequence[float],
+    extremes: Mapping[str, float],
+) -> dict[str, float]:
+    """Eq. 3: the final aggregates of ``q`` from ``cnt``, the trend count
+    summed over its end events, and ``chan``, the matching sums of each
+    channel in ``channels``. ``extremes`` holds each MIN/MAX aggregate's
+    value by name (NaN when no event takes part in a trend)."""
+    val = dict(zip(channels, chan))
+    out: dict[str, float] = {}
+    for a in q.aggs:
+        if a.fn == "COUNT_STAR":
+            out[a.name] = float(cnt)
+        elif a.fn == "COUNT_E":
+            out[a.name] = float(val[Channel(a.etype, None)])
+        elif a.fn == "SUM":
+            out[a.name] = float(val[Channel(a.etype, a.attr)])
+        elif a.fn == "AVG":
+            n_e = val[Channel(a.etype, None)]
+            s = val[Channel(a.etype, a.attr)]
+            out[a.name] = float(s / n_e) if n_e else math.nan
+        else:
+            out[a.name] = float(extremes[a.name])
+    return out
 
 
 class _Rec:
@@ -79,29 +108,6 @@ class GretaState:
         self.ops = 0  # predecessor accesses — the model's n factor
         self.n_stored = 0
 
-    # -- helpers ------------------------------------------------------------
-    def _edge_ok(self, prev: _Rec, e: Event) -> Optional[tuple]:
-        """Is prev.event a valid predecessor of ``e``? Returns the matching
-        pt-edge or None. Checks negation blockers and the Kleene edge
-        predicate (in-Kleene adjacency only)."""
-        pe = prev.event
-        for edge in self.tpl.pt[e.etype]:
-            if edge.ptype != pe.etype:
-                continue
-            if edge.blocker is not None and any(
-                pe.time < t < e.time for t in self.blocker_times.get(edge.blocker, ())
-            ):
-                continue
-            if (
-                self.q.edge_pred is not None
-                and e.etype in self.tpl.kleene
-                and pe.etype == e.etype
-                and not self.q.edge_pred.ok(pe, e)
-            ):
-                continue
-            return edge
-        return None
-
     # -- online processing --------------------------------------------------
     def on_event(self, e: Event) -> None:
         tpl = self.tpl
@@ -122,7 +128,7 @@ class GretaState:
         for ptype in ptypes:
             for rec in self.recs.get(ptype, ()):  # THE O(n) loop (Eq. 4)
                 self.ops += 1
-                if self._edge_ok(rec, e) is not None:
+                if edge_ok(self.q, tpl, rec.event, e, self.blocker_times):
                     pe_cnt += rec.cnt
                     for i in range(len(self.channels)):
                         pe_chan[i] += rec.chan[i]
@@ -155,28 +161,16 @@ class GretaState:
             (r for recs in self.recs.values() for r in recs), key=lambda r: r.event.time
         )
         reach: dict[int, bool] = {}
-
-        def end_ok(r: _Rec) -> bool:
-            if r.event.etype not in self.tpl.end:
-                return False
-            if self.tpl.trailing_neg is not None and any(
-                t > r.event.time
-                for t in self.blocker_times.get(self.tpl.trailing_neg, ())
-            ):
-                return False
-            return True
-
         for i in range(len(all_recs) - 1, -1, -1):
             r = all_recs[i]
-            ok = end_ok(r)
+            ok = end_ok(self.tpl, r.event, self.blocker_times)
             if not ok:
                 for j in range(i + 1, len(all_recs)):
                     r2 = all_recs[j]
                     if (
                         reach[id(r2)]
                         and r2.event.time > r.event.time
-                        and r.event.etype in {ed.ptype for ed in self.tpl.pt.get(r2.event.etype, ())}
-                        and self._edge_ok(r, r2.event) is not None
+                        and edge_ok(self.q, self.tpl, r.event, r2.event, self.blocker_times)
                     ):
                         ok = True
                         break
@@ -185,33 +179,19 @@ class GretaState:
 
     def results(self) -> dict[str, float]:
         """Final aggregates for this window instance (Eq. 3 + channels)."""
-        r_cnt = self.r_cnt + self._pend_cnt
-        r_chan = [a + b for a, b in zip(self.r_chan, self._pend_chan)]
-        chan_val = {c: r_chan[i] for i, c in enumerate(self.channels)}
-        out: dict[str, float] = {}
-        parts: Optional[list[_Rec]] = None
-        for a in self.q.aggs:
-            if a.fn == "COUNT_STAR":
-                out[a.name] = float(r_cnt)
-            elif a.fn == "COUNT_E":
-                out[a.name] = float(chan_val[Channel(a.etype, None)])
-            elif a.fn == "SUM":
-                out[a.name] = float(chan_val[Channel(a.etype, a.attr)])
-            elif a.fn == "AVG":
-                n_e = chan_val[Channel(a.etype, None)]
-                s = chan_val[Channel(a.etype, a.attr)]
-                out[a.name] = float(s / n_e) if n_e else math.nan
-            elif a.fn in ("MIN", "MAX"):
-                if parts is None:
-                    parts = self._participants()
-                vals = [
-                    r.event.attrs.get(a.attr, 0.0)
-                    for r in parts
-                    if r.event.etype == a.etype
-                ]
-                fn = min if a.fn == "MIN" else max
-                out[a.name] = float(fn(vals)) if vals else math.nan
-        return out
+        mm = [a for a in self.q.aggs if a.fn in ("MIN", "MAX")]
+        parts = self._participants() if mm else []
+        extremes = {}
+        for a in mm:
+            vals = [r.event.attrs.get(a.attr, 0.0) for r in parts if r.event.etype == a.etype]
+            extremes[a.name] = (min if a.fn == "MIN" else max)(vals, default=math.nan)
+        return aggregates(
+            self.q,
+            self.channels,
+            self.r_cnt + self._pend_cnt,
+            [a + b for a, b in zip(self.r_chan, self._pend_chan)],
+            extremes,
+        )
 
     def exact_count(self) -> int:
         """COUNT(*) as an exact integer (may exceed float precision)."""

@@ -20,12 +20,12 @@ interleaving of sharing decisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from .events import Event
-from .greta import Channel, channels_for
-from .optimizer import BurstStats, CostModel, SharingPlan, choose_plan
+from .greta import Channel, aggregates, channels_for
+from .optimizer import BurstStats, choose_plan
 from .queries import Query
 from .snapshots import CNT, ONE_ID, SnapshotTable, Vec, vadd
 from .template import Template, build_template
@@ -40,8 +40,6 @@ class Metrics:
     ops: int = 0  # predecessor/total accesses (Eq. 4 / Eq. 6 work)
     coeff_ops: int = 0  # sparse vector term updates (snapshot propagation)
     snapshots_created: int = 0
-    snapshot_entries: int = 0
-    peak_live_coeffs: int = 0
     bursts: int = 0
     shared_bursts: int = 0
     decisions: int = 0
@@ -51,23 +49,14 @@ class Metrics:
     peak_mem_bytes: int = 0
 
     def absorb(self, other: "Metrics") -> None:
-        for f in (
-            "events",
-            "stored_events",
-            "ops",
-            "coeff_ops",
-            "snapshots_created",
-            "snapshot_entries",
-            "bursts",
-            "shared_bursts",
-            "decisions",
-            "plans_considered",
-            "splits",
-            "merges",
-        ):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-        self.peak_live_coeffs = max(self.peak_live_coeffs, other.peak_live_coeffs)
-        self.peak_mem_bytes = max(self.peak_mem_bytes, other.peak_mem_bytes)
+        """Add ``other``'s counters into these; the memory peak is a max."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(
+                self,
+                f.name,
+                max(mine, theirs) if f.name == "peak_mem_bytes" else mine + theirs,
+            )
 
 
 class HamletSetEngine:
@@ -80,7 +69,6 @@ class HamletSetEngine:
         *,
         mode: str = "dynamic",
         pane: float = 60.0,
-        cost: CostModel = CostModel(),
     ):
         if mode not in ("dynamic", "static", "nonshared"):
             raise ValueError(mode)
@@ -89,7 +77,6 @@ class HamletSetEngine:
         self.E = kleene_type
         self.mode = mode
         self.pane = pane
-        self.cost = cost
         self.tpls: dict[str, Template] = {q.qid: build_template(q) for q in self.qs}
         for q in self.qs:
             if kleene_type not in self.tpls[q.qid].kleene:
@@ -117,7 +104,11 @@ class HamletSetEngine:
             q.qid: {t: z() for t in self.tpls[q.qid].types} for q in self.qs
         }
         self.cuts: dict[tuple, list] = {}  # (qid, ptype, blocker) -> totals copy
-        self.krecs: dict[str, list] = {qid: [] for qid in self.edge_pred_qids}
+        # an edge-predicate query's stored (event, values) records per Kleene
+        # type: its same-type predecessors are checked pairwise (Eq. 2)
+        self.krecs: dict[tuple, list] = {
+            (q.qid, t): [] for q in self.qs if q.edge_pred for t in self.tpls[q.qid].kleene
+        }
         self.r_cnt: dict[str, int] = {q.qid: 0 for q in self.qs}
         self.r_chan: dict[str, list] = {q.qid: [0.0] * self.nch for q in self.qs}
         self.p_cnt: dict[str, int] = {q.qid: 0 for q in self.qs}
@@ -178,10 +169,10 @@ class HamletSetEngine:
             return tot
         return [a - b for a, b in zip(tot, cut)]
 
-    def _add_into(self, dst: list, src: Sequence, scale: float = 1.0) -> None:
-        dst[0] += src[0] if scale == 1.0 else int(src[0] * scale)
+    def _add_into(self, dst: list, src: Sequence) -> None:
+        dst[0] += src[0]
         for i in range(1, 1 + self.nch):
-            dst[i] += src[i] * scale
+            dst[i] += src[i]
 
     def _accum_result(self, qid: str, vals: Sequence) -> None:
         tpl = self.tpls[qid]
@@ -193,13 +184,6 @@ class HamletSetEngine:
             self.r_cnt[qid] += vals[0]
             for i in range(self.nch):
                 self.r_chan[qid][i] += vals[1 + i]
-
-    def _own_channel_terms(self, e: Event, cnt, vals: list) -> None:
-        """Add the event's own contribution attr(e)·cnt to matching channels."""
-        for i, c in enumerate(self.channels):
-            if c.etype == e.etype:
-                scale = 1.0 if c.attr is None else e.attrs.get(c.attr, 0.0)
-                vals[1 + i] += cnt * scale
 
     def _update_minmax(self, qid: str, e: Event) -> None:
         q = self.by_qid[qid]
@@ -238,7 +222,7 @@ class HamletSetEngine:
             if e.etype in tpl.neg_types:
                 self._on_negative(qid, e)
             else:
-                self._process_simple(qid, e)
+                self._store(qid, e, self._value(qid, e))
 
     def _on_negative(self, qid: str, e: Event) -> None:
         tpl = self.tpls[qid]
@@ -252,16 +236,52 @@ class HamletSetEngine:
             self.p_cnt[qid] = 0
             self.p_chan[qid] = [0.0] * self.nch
 
-    def _process_simple(self, qid: str, e: Event) -> None:
-        """Non-Kleene matched event: per-query propagation (Eq. 2)."""
+    def _value(self, qid: str, e: Event) -> list:
+        """Eq. 2: ``[count, channel values...]`` of matched event ``e`` for
+        query ``qid``: the start term, plus the values of ``e``'s
+        predecessors, plus ``e``'s own channel terms ``attr(e)·count``.
+
+        The predecessors' values come from the per-type totals, less the
+        negation cuts. An edge-predicate query's same-type Kleene
+        predecessors come instead from its stored records, checked pairwise.
+        A sharer of the open graphlet resolves the graphlet's entry snapshot
+        plus its events so far."""
         tpl = self.tpls[qid]
         vals = [1 if e.etype in tpl.start else 0] + [0.0] * self.nch
-        for edge in tpl.pt.get(e.etype, ()):
-            self._add_into(vals, self._eff_total(qid, edge.ptype, edge.blocker))
-        self._own_channel_terms(e, vals[0], vals)
+        recs = self.krecs.get((qid, e.etype))
+        sh = self.shared
+        if recs is None and sh is not None and qid in sh["sharers"]:
+            pe: Vec = {(sh["entry"], CNT): 1}
+            vadd(pe, sh["run_cnt"])
+            vals[0] += self.S.resolve(pe, qid)
+            self.m.ops += len(pe)
+            for i in range(self.nch):
+                pv: Vec = {(sh["entry"], i): 1.0}
+                vadd(pv, sh["run_chan"][i])
+                vals[1 + i] = float(self.S.resolve(pv, qid))
+        else:
+            for edge in tpl.pt.get(e.etype, ()):
+                if recs is None or edge.ptype != e.etype:
+                    self._add_into(vals, self._eff_total(qid, edge.ptype, edge.blocker))
+            for pev, pvals in recs or ():
+                self.m.ops += 1
+                if self.by_qid[qid].edge_pred.ok(pev, e):
+                    self._add_into(vals, pvals)
+        for i, c in enumerate(self.channels):
+            if c.etype == e.etype:
+                scale = 1.0 if c.attr is None else e.attrs.get(c.attr, 0.0)
+                vals[1 + i] += vals[0] * scale
+        return vals
+
+    def _store(self, qid: str, e: Event, vals: list) -> None:
+        """Keep the Eq. 2 value of an event outside a shared graphlet: in its
+        type's total and stored records, the result (end types) and MIN/MAX."""
+        recs = self.krecs.get((qid, e.etype))
+        if recs is not None:
+            recs.append((e, tuple(vals)))
         self._add_into(self.totals[qid][e.etype], vals)
         self.m.stored_events += 1
-        if e.etype in tpl.end:
+        if e.etype in self.tpls[qid].end:
             self._accum_result(qid, vals)
             if vals[0] > 0:
                 self._update_minmax(qid, e)
@@ -292,7 +312,6 @@ class HamletSetEngine:
             g_active=self.shared["g"] if self.shared else 0,
             s_p_live=self._live_snapshots(),
             p_avg=self.p_avg,
-            cost=self.cost,
         )
         self.m.bursts += 1
         self.m.decisions += 1
@@ -308,10 +327,10 @@ class HamletSetEngine:
                 self._open_shared(plan.shared)
         for ev in burst:
             if self.shared is not None:
-                self._process_shared_event(ev, stats)
+                self._process_shared_event(ev)
             for q in self.qs:
                 if (self.shared is None or q.qid not in self.shared["sharers"]) and q.matches(ev):
-                    self._process_kleene_nonshared(q.qid, ev)
+                    self._store(q.qid, ev, self._value(q.qid, ev))
         self.n_so_far += len(burst)
         self._note_memory()
 
@@ -333,7 +352,6 @@ class HamletSetEngine:
             per_query[qid] = (vals[0], *vals[1:])
         sid = self.S.create(per_query)
         self.m.snapshots_created += 1
-        self.m.snapshot_entries += len(per_query)
         self.shared = {
             "sharers": sharers,
             "entry": sid,
@@ -362,27 +380,9 @@ class HamletSetEngine:
             if self.E in self.tpls[qid].end:
                 self._accum_result(qid, vals)
         self.shared = None
-        self.S.gc(set())
+        self.S.gc()
 
-    def _direct_kleene_value(self, qid: str, e: Event) -> list:
-        """Per-query value of a Kleene event for an edge-predicate query:
-        iterate its stored Kleene records (pairwise predicate checks) plus
-        non-self predecessor totals — the same work GRETA does."""
-        q = self.by_qid[qid]
-        tpl = self.tpls[qid]
-        vals = [1 if self.E in tpl.start else 0] + [0.0] * self.nch
-        for edge in tpl.pt.get(self.E, ()):
-            if edge.ptype == self.E:
-                continue
-            self._add_into(vals, self._eff_total(qid, edge.ptype, edge.blocker))
-        for pev, pvals in self.krecs[qid]:
-            self.m.ops += 1
-            if q.edge_pred.ok(pev, e):
-                self._add_into(vals, pvals)
-        self._own_channel_terms(e, vals[0], vals)
-        return vals
-
-    def _process_shared_event(self, e: Event, stats: BurstStats) -> None:
+    def _process_shared_event(self, e: Event) -> None:
         sh = self.shared
         sharers = sh["sharers"]
         if sharers & self._kleene_pred_qids:
@@ -413,27 +413,12 @@ class HamletSetEngine:
                 if qid not in M:
                     per_query[qid] = (0, *([0.0] * self.nch))
                     continue
-                if qid in self.edge_pred_qids:
-                    vals = self._direct_kleene_value(qid, e)
-                else:
-                    pe: Vec = {(entry, CNT): 1}
-                    vadd(pe, sh["run_cnt"])
-                    cnt = self.S.resolve(pe, qid) + (
-                        1 if self.E in self.tpls[qid].start else 0
-                    )
-                    self.m.ops += len(pe)
-                    vals = [cnt] + [0.0] * self.nch
-                    for i in range(self.nch):
-                        pv: Vec = {(entry, i): 1.0}
-                        vadd(pv, sh["run_chan"][i])
-                        vals[1 + i] = float(self.S.resolve(pv, qid))
-                    self._own_channel_terms(e, cnt, vals)
-                per_query[qid] = (vals[0], *vals[1:])
-                if qid in self.edge_pred_qids:
-                    self.krecs[qid].append((e, per_query[qid]))
+                per_query[qid] = tuple(self._value(qid, e))
+                recs = self.krecs.get((qid, self.E))
+                if recs is not None:
+                    recs.append((e, per_query[qid]))
             y = self.S.create(per_query)
             self.m.snapshots_created += 1
-            self.m.snapshot_entries += len(per_query)
             vec_cnt = {(y, CNT): 1}
             vec_chan = [{(y, i): 1.0} for i in range(self.nch)]
         vadd(sh["run_cnt"], vec_cnt)
@@ -443,26 +428,6 @@ class HamletSetEngine:
         self.m.stored_events += 1
         for qid in M:
             if sh["gate"][qid] and self.mm[qid]:
-                self._update_minmax(qid, e)
-        live = len(sh["run_cnt"]) + sum(len(v) for v in sh["run_chan"])
-        self.m.peak_live_coeffs = max(self.m.peak_live_coeffs, live)
-
-    def _process_kleene_nonshared(self, qid: str, e: Event) -> None:
-        q = self.by_qid[qid]
-        tpl = self.tpls[qid]
-        if qid in self.edge_pred_qids:
-            vals = self._direct_kleene_value(qid, e)
-            self.krecs[qid].append((e, tuple(vals)))
-        else:
-            vals = [1 if self.E in tpl.start else 0] + [0.0] * self.nch
-            for edge in tpl.pt.get(self.E, ()):
-                self._add_into(vals, self._eff_total(qid, edge.ptype, edge.blocker))
-            self._own_channel_terms(e, vals[0], vals)
-        self._add_into(self.totals[qid][self.E], vals)
-        self.m.stored_events += 1
-        if self.E in tpl.end:
-            self._accum_result(qid, vals)
-            if vals[0] > 0:
                 self._update_minmax(qid, e)
 
     # -- window close ----------------------------------------------------
@@ -495,26 +460,19 @@ class HamletSetEngine:
         out: dict[str, dict[str, float]] = {}
         for q in self.qs:
             qid = q.qid
-            r_cnt = self.r_cnt[qid] + self.p_cnt[qid]
-            r_chan = [a + b for a, b in zip(self.r_chan[qid], self.p_chan[qid])]
-            chan_val = {c: r_chan[i] for i, c in enumerate(self.channels)}
-            res: dict[str, float] = {}
+            extremes = {}
             for a in q.aggs:
-                if a.fn == "COUNT_STAR":
-                    res[a.name] = float(r_cnt)
-                elif a.fn == "COUNT_E":
-                    res[a.name] = float(chan_val[Channel(a.etype, None)])
-                elif a.fn == "SUM":
-                    res[a.name] = float(chan_val[Channel(a.etype, a.attr)])
-                elif a.fn == "AVG":
-                    n_e = chan_val[Channel(a.etype, None)]
-                    s = chan_val[Channel(a.etype, a.attr)]
-                    res[a.name] = float(s / n_e) if n_e else math.nan
-                else:
+                if a.fn in ("MIN", "MAX"):
                     lo, hi = self.mm[qid][a.name]
                     v = lo if a.fn == "MIN" else hi
-                    res[a.name] = float(v) if math.isfinite(v) else math.nan
-            out[qid] = res
+                    extremes[a.name] = v if math.isfinite(v) else math.nan
+            out[qid] = aggregates(
+                q,
+                self.channels,
+                self.r_cnt[qid] + self.p_cnt[qid],
+                [a + b for a, b in zip(self.r_chan[qid], self.p_chan[qid])],
+                extremes,
+            )
         return out
 
     def exact_counts(self) -> dict[str, int]:

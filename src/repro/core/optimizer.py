@@ -12,7 +12,8 @@ of the Fig. 7 lattice are ever evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 
@@ -43,6 +44,9 @@ class CostModel:
         return self.nonshared_cost_simple(b=b, n=n, k=k) - self.shared_cost_simple(
             b=b, n=n, g=g, s_c=s_c, s_p=s_p, k=k, t=t
         )
+
+
+_COST = CostModel()
 
 
 @dataclass
@@ -88,7 +92,6 @@ def choose_plan(
     g_active: int,
     s_p_live: int,
     p_avg: float,
-    cost: CostModel = CostModel(),
 ) -> SharingPlan:
     """Per-burst sharing decision (§4.2 + §4.3).
 
@@ -106,8 +109,6 @@ def choose_plan(
     # Reference match vector: the majority vector among snapshot-free
     # candidates; queries matching it introduce no snapshots (Thm 4.1 —
     # always beneficial to share them).
-    from collections import Counter
-
     vec_counts = Counter(
         stats.match_vectors[qid] for qid in qids if qid not in stats.edge_pred_qids
     )
@@ -137,7 +138,7 @@ def choose_plan(
         )
     # Overall share-vs-split decision for the chosen set (Eq. 8).
     s_c = max((div[qid] for qid in shared), default=0)
-    ben = cost.benefit(
+    ben = _COST.benefit(
         b=b, n=n, g=g, s_c=s_c, s_p=max(s_p_live, 1), k=len(shared), p=max(p_avg, 1.0)
     )
     if ben <= 0:

@@ -47,7 +47,6 @@ class SnapshotTable:
     def __init__(self, n_channels: int):
         self.n_channels = n_channels
         self.vals: dict[int, dict[str, tuple]] = {}
-        self.archive: dict[int, dict[str, tuple]] = {}  # gc'd values (audit/tests)
         self._next_id = ONE_ID + 1
 
     def set_one(self, per_query_start: dict[str, int]) -> None:
@@ -75,9 +74,10 @@ class SnapshotTable:
             total += coeff * self.value(sid, qid, ch)
         return total
 
-    def gc(self, live_ids: set[int]) -> None:
-        """Drop snapshots no longer referenced by any live vector (keeps the
+    def gc(self) -> None:
+        """Drop every snapshot but ONE. Called when a graphlet closes: no
+        live vector references its snapshots any more (keeps the
         peak-memory metric honest across graphlet closures)."""
         for sid in list(self.vals):
-            if sid != ONE_ID and sid not in live_ids:
-                self.archive[sid] = self.vals.pop(sid)
+            if sid != ONE_ID:
+                del self.vals[sid]

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .events import Event
 from .queries import Atom, GroupKleene, Kleene, Neg, Query
 
 
@@ -124,6 +125,44 @@ def build_template(q: Query) -> Template:
     )
     q.__dict__["_tpl_cache"] = tpl
     return tpl
+
+
+def edge_ok(
+    q: Query, tpl: Template, prev: Event, cur: Event, blockers: Mapping[str, Sequence[float]]
+) -> bool:
+    """Match-DAG edge rule: may ``prev`` precede ``cur`` in a trend of ``q``?
+
+    Some pt-edge from ``prev``'s type must hold: no matched event of its
+    negation blocker lies strictly between the two (``blockers`` holds the
+    matched blocker times), and the Kleene edge predicate holds for
+    adjacent events of one Kleene type. Event times are the caller's to
+    check."""
+    for edge in tpl.pt.get(cur.etype, ()):
+        if edge.ptype != prev.etype:
+            continue
+        if edge.blocker is not None and any(
+            prev.time < t < cur.time for t in blockers.get(edge.blocker, ())
+        ):
+            continue
+        if (
+            q.edge_pred is not None
+            and cur.etype in tpl.kleene
+            and prev.etype == cur.etype
+            and not q.edge_pred.ok(prev, cur)
+        ):
+            continue
+        return True
+    return False
+
+
+def end_ok(tpl: Template, e: Event, blockers: Mapping[str, Sequence[float]]) -> bool:
+    """May a trend end at ``e``? Its type is an end type, and no matched
+    event of a trailing negation follows it."""
+    if e.etype not in tpl.end:
+        return False
+    return tpl.trailing_neg is None or not any(
+        t > e.time for t in blockers.get(tpl.trailing_neg, ())
+    )
 
 
 def _first_positive_types(elems: Sequence) -> set[str]:

@@ -10,7 +10,6 @@ operator is out of scope for a Python reproduction).
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import pandas as pd
@@ -21,8 +20,20 @@ from ..core.events import events_from_pandas
 from ..core.queries import Query
 from ..streams import ATTR_COLS
 
-RESULT_SCHEMA = "gkey long, window_start double, qid string, agg string, value double"
-_RESULT_COLS = ["gkey", "window_start", "qid", "agg", "value"]
+# the result rows of both Spark runtimes
+OUT_SCHEMA = "gkey long, window_start double, qid string, agg string, value double"
+OUT_COLS = [c.split()[0] for c in OUT_SCHEMA.split(", ")]
+
+
+def result_frame(gkey: int, results: dict) -> pd.DataFrame:
+    """Group ``gkey``'s ``{(qid, window_start): {agg: value}}`` results as
+    one ``OUT_SCHEMA`` row per window, query and aggregate."""
+    rows = [
+        (gkey, float(ws), qid, agg, float(val))
+        for (qid, ws), aggs in results.items()
+        for agg, val in aggs.items()
+    ]
+    return pd.DataFrame(rows, columns=OUT_COLS)
 
 
 def run_workload_spark(
@@ -44,18 +55,12 @@ def run_workload_spark(
     def _run_group(pdf: pd.DataFrame) -> pd.DataFrame:
         gkey = int(pdf["gkey"].iloc[0])
         events = events_from_pandas(pdf, attr_cols)
-        rr = run_system(events, workload, system, **run_kwargs)
-        rows = [
-            (gkey, float(ws), qid, agg, float(val))
-            for (qid, ws), aggs in rr.results.items()
-            for agg, val in aggs.items()
-        ]
-        return pd.DataFrame(rows, columns=_RESULT_COLS)
+        return result_frame(gkey, run_system(events, workload, system, **run_kwargs).results)
 
     return (
         events_df.repartition("gkey")
         .groupBy("gkey")
-        .applyInPandas(_run_group, RESULT_SCHEMA)
+        .applyInPandas(_run_group, OUT_SCHEMA)
     )
 
 

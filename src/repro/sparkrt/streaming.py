@@ -35,6 +35,7 @@ from ..core.engine import window_executors
 from ..core.events import Event, events_from_pandas
 from ..core.queries import Query
 from ..streams import ATTR_COLS
+from .batch import OUT_COLS, OUT_SCHEMA, result_frame
 
 FLUSH_TYPE = "__flush__"
 
@@ -46,16 +47,6 @@ EVENT_SCHEMA = StructType(
     ]
     + [StructField(c, DoubleType()) for c in ATTR_COLS]
 )
-OUT_SCHEMA = StructType(
-    [
-        StructField("gkey", LongType()),
-        StructField("window_start", DoubleType()),
-        StructField("qid", StringType()),
-        StructField("agg", StringType()),
-        StructField("value", DoubleType()),
-    ]
-)
-OUT_COLS = OUT_SCHEMA.fieldNames()
 STATE_SCHEMA = StructType([StructField("blob", BinaryType())])
 
 
@@ -94,18 +85,16 @@ def make_stateful_func(workload: Sequence[Query], system: str, window: float):
                 st["engines"][wid] = [new() for new in new_engines]
             for eng in st["engines"][wid]:
                 eng.on_event(e)
-        rows = []
+        results = {}
         for wid in sorted(st["engines"]):
             if (wid + 1) * window <= st["max_t"]:
                 ws = float(wid * window)
                 for eng in st["engines"].pop(wid):
                     eng.end_window()
-                    for qid, aggs in eng.results().items():
-                        for agg, val in aggs.items():
-                            rows.append((gkey, ws, qid, agg, float(val)))
+                    results.update({(qid, ws): aggs for qid, aggs in eng.results().items()})
                 st["done"].add(wid)
         state.update((pickle.dumps(st),))
-        yield pd.DataFrame(rows, columns=OUT_COLS)
+        yield result_frame(gkey, results)
 
     return func
 

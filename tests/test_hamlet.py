@@ -1,6 +1,8 @@
 """Hamlet shared executor (Algorithm 1) — equivalence with GRETA and
 brute force under every sharing mode, plus graphlet/burst/snapshot
 mechanics (paper §3.3 and §4.2)."""
+import random
+
 import pytest
 
 from repro.core.events import Event
@@ -11,6 +13,7 @@ from repro.core.queries import (
     Atom,
     EdgePred,
     Kleene,
+    Neg,
     Pred,
     Query,
     seq,
@@ -199,3 +202,68 @@ def test_engine_is_picklable_mid_stream():
     eng.end_window()
     eng2.end_window()
     assert eng.exact_counts() == eng2.exact_counts()
+
+
+def test_pickled_engine_does_not_grow_with_closed_graphlets():
+    """The streaming runtime pickles live engines, so a closed graphlet's
+    snapshots must not stay in the engine for the rest of its window."""
+    import pickle
+
+    def pickled_after(rounds):
+        eng = _mk_engine([Q1, Q2])
+        for i in range(rounds):  # each round closes one shared B graphlet
+            for j, et in enumerate("ACB"):
+                eng.on_event(_ev(3 * i + j, et))
+        eng.end_window()
+        return len(pickle.dumps(eng))
+
+    # only the exact counts' digits may grow: about one bit per B event
+    assert pickled_after(80) - pickled_after(20) < 64
+
+
+TWO_KLEENE = seq(Kleene("A"), Kleene("B"))
+
+
+@pytest.mark.parametrize("system", ["greta", "hamlet", "hamlet-static", "hamlet-nonshared"])
+def test_two_kleene_edge_predicate(system):
+    """SEQ(A+, B+) with v <= over A(1), B(5), B(3): the edge predicate also
+    holds between adjacent B's, so the trends are (a, b5) and (a, b3) only.
+    Alone, and sharing its A's with a query without edge predicate."""
+    from repro.core.engine import run_system
+
+    q = Query(qid="q", elems=TWO_KLEENE, edge_pred=EdgePred("v", "<="))
+    other = Query(qid="other", elems=TWO_KLEENE)
+    evs = [_ev(0, "A", 1), _ev(1, "B", 5), _ev(2, "B", 3)]
+    assert run_system(evs, [q], system).results[("q", 0.0)]["COUNT(*)"] == 2
+    res = run_system(evs, [q, other], system).results
+    assert res[("q", 0.0)]["COUNT(*)"] == 2
+    assert res[("other", 0.0)]["COUNT(*)"] == 3
+
+
+def _two_kleene_query(seed, qid):
+    rng = random.Random(seed)
+    return Query(
+        qid=qid,
+        elems=rng.choice(
+            [
+                TWO_KLEENE,
+                seq(Kleene("B"), Kleene("A")),
+                seq(Kleene("A"), Atom("C"), Kleene("B")),
+                seq(Atom("C"), Kleene("A"), Kleene("B")),
+                seq(Kleene("A"), Neg("N"), Kleene("B")),
+            ]
+        ),
+        aggs=(AggSpec("COUNT_STAR"), AggSpec("SUM", "B", "v"), AggSpec("COUNT_E", "A")),
+        where={"A": (Pred("v", ">=", 3),)} if rng.random() < 0.3 else {},
+        edge_pred=rng.choice([None, EdgePred("v", "<="), EdgePred("v", ">=")]),
+    )
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+@pytest.mark.parametrize("seed", range(20))
+def test_two_kleene_edge_predicates_match_brute(mode, seed):
+    events = random_events(seed + 3000, n_max=14, types="ABCN")
+    qs = [_two_kleene_query(seed * 31 + i, f"q{i}") for i in range(1 + seed % 3)]
+    res = run_hamlet_set(events, qs, "A", mode=mode, pane=[2.0, 5.0, 50.0][seed % 3])
+    for q in qs:
+        assert_matches_brute(events, q, res[q.qid])

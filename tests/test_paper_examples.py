@@ -1,6 +1,9 @@
 """Exact reproduction of the paper's worked examples: snapshot
 propagation values (Tables 3, 4, 5), the benefit calculations of
 Eq. 9–11 (§4.2), and the search-space pruning of §4.3 (Fig. 7)."""
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.core.brute import brute_results
@@ -28,6 +31,22 @@ def _stream_fig5ab():
     return evs
 
 
+def _recording_engine(queries):
+    """A static engine over ``queries`` plus the values of every snapshot
+    it creates, by id, recorded from outside the engine."""
+    eng = HamletSetEngine(queries, "B", mode="static", pane=100.0)
+    created = {}
+    create = eng.S.create
+
+    def record(per_query):
+        sid = create(per_query)
+        created[sid] = per_query
+        return sid
+
+    eng.S.create = record
+    return eng, created
+
+
 def test_table3_shared_propagation_doubles():
     """Table 3: counts within B3 are x, 2x, 4x, 8x — via the shared vector
     the engine's intermediate sums resolve to value(x,q)·{1,2,4,8}."""
@@ -48,13 +67,12 @@ def test_table3_shared_propagation_doubles():
 
 def test_table4_snapshot_values():
     """Table 4: value(x,q1)=2, value(x,q2)=1; value(y,q1)=34, value(y,q2)=19."""
-    eng = HamletSetEngine([Q1, Q2], "B", mode="static", pane=100.0)
+    eng, vals = _recording_engine([Q1, Q2])
     for e in _stream_fig5ab():
         eng.on_event(e)
     eng.end_window()
-    vals = {**eng.S.archive, **eng.S.vals}
-    # snapshot ids: ONE=0, x=first entry, y=second entry
-    sids = sorted(i for i in vals if i != 0)
+    # snapshot ids: x=first entry, y=second entry
+    sids = sorted(vals)
     x, y = sids[0], sids[1]
     assert vals[x]["q1"][0] == 2 and vals[x]["q2"][0] == 1
     assert vals[y]["q1"][0] == 34 and vals[y]["q2"][0] == 19
@@ -69,13 +87,12 @@ def test_table5_event_snapshot_z():
     evs += [_ev(3, "B", 1), _ev(4, "B", 5), _ev(5, "B", 2), _ev(6, "B", 9)]
     evs += [_ev(7, "A"), _ev(8, "A"), _ev(9, "C"), _ev(10, "C"), _ev(11, "C")]
     evs += [_ev(12, "B", 9)]
-    eng = HamletSetEngine([Q1, q2], "B", mode="static", pane=100.0)
+    eng, all_vals = _recording_engine([Q1, q2])
     for e in evs:
         eng.on_event(e)
     eng.end_window()
-    all_vals = {**eng.S.archive, **eng.S.vals}
     # find the event snapshot created at b5: value 8 for q1, 2 for q2
-    snap_vals = [(v.get("q1", (0,))[0], v.get("q2", (0,))[0]) for sid, v in all_vals.items() if sid != 0]
+    snap_vals = [(v.get("q1", (0,))[0], v.get("q2", (0,))[0]) for v in all_vals.values()]
     assert (8, 2) in snap_vals
     # y (entry of B6) = x + sum(B3) + sum(prefix graphlets): q1=34, q2=15
     assert (34, 15) in snap_vals
@@ -84,6 +101,20 @@ def test_table5_event_snapshot_z():
     for q in (Q1, q2):
         want = brute_results(evs, q)["COUNT(*)"]
         assert res[q.qid]["COUNT(*)"] == want
+
+
+def test_paper_examples_job_prints_table4(capsys):
+    """jobs/paper_examples.py prints Table 4's values in its "ours" column."""
+    path = Path(__file__).resolve().parents[1] / "jobs" / "paper_examples.py"
+    spec = importlib.util.spec_from_file_location("paper_examples", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    job.main()
+    rows = [line.split("|") for line in capsys.readouterr().out.splitlines()]
+    ours = {
+        c[1].strip(): c[3].strip() for c in rows if len(c) == 4 and c[1].strip() in ("x", "y")
+    }
+    assert ours == {"x": "(2, 1)", "y": "(34, 19)"}
 
 
 COST = CostModel()
