@@ -23,7 +23,7 @@ matching the paper's metric definitions (§6.1).
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -82,7 +82,8 @@ class RunResult:
 
 def window_instances(events: Sequence[Event], window: float, slide: float):
     """Yield ``(window_start, events_in_window)`` for every non-empty
-    instance of a sliding window over a time-sorted event list."""
+    instance ``[start, start + window)`` of a sliding window over a
+    time-sorted event list."""
     if not events:
         return
     times = [e.time for e in events]
@@ -91,7 +92,7 @@ def window_instances(events: Sequence[Event], window: float, slide: float):
     while m * slide <= t_max:
         start = m * slide
         lo = bisect_left(times, start)
-        hi = bisect_right(times, start + window - 1e-12)
+        hi = bisect_left(times, start + window)
         if hi > lo:
             yield start, events[lo:hi]
         m += 1

@@ -9,8 +9,10 @@ O(n) inner loop that makes non-shared execution ``k × n²`` (Eq. 4) and
 is exactly the cost Hamlet's shared graphlets avoid.
 
 Besides COUNT(*), linear channels propagate COUNT(E)/SUM/AVG through the
-same recurrence; MIN/MAX use a finalize-time reachability pass (an event
-contributes iff it participates in at least one complete trend).
+same recurrence, so an event's value is one vector ``[count, channel_1,
+..., channel_m]`` (``zero``, ``add_into``; Hamlet uses the same layout).
+MIN/MAX use a finalize-time reachability pass (an event contributes iff
+it participates in at least one complete trend).
 """
 from __future__ import annotations
 
@@ -50,22 +52,37 @@ def channels_for(q: Query) -> tuple[Channel, ...]:
     return tuple(chans)
 
 
+CNT = 0  # index of the trend count in every value vector
+
+
+def zero(m: int) -> list:
+    """The zero value vector ``[count, channel_1, ..., channel_m]`` of Eq. 2
+    and Eq. 3: the count at index ``CNT`` is an exact int, the ``m``
+    channels are floats."""
+    return [0] + [0.0] * m
+
+
+def add_into(dst: list, src: Sequence) -> None:
+    """``dst += src``, entry by entry, for two value vectors."""
+    for i, v in enumerate(src):
+        dst[i] += v
+
+
 def aggregates(
     q: Query,
     channels: Sequence[Channel],
-    cnt: int,
-    chan: Sequence[float],
+    vals: Sequence,
     extremes: Mapping[str, float],
 ) -> dict[str, float]:
-    """Eq. 3: the final aggregates of ``q`` from ``cnt``, the trend count
-    summed over its end events, and ``chan``, the matching sums of each
+    """Eq. 3: the final aggregates of ``q`` from ``vals``, the value vector
+    summed over its end events: the trend count, then the sum of each
     channel in ``channels``. ``extremes`` holds each MIN/MAX aggregate's
     value by name (NaN when no event takes part in a trend)."""
-    val = dict(zip(channels, chan))
+    val = dict(zip(channels, vals[CNT + 1:]))
     out: dict[str, float] = {}
     for a in q.aggs:
         if a.fn == "COUNT_STAR":
-            out[a.name] = float(cnt)
+            out[a.name] = float(vals[CNT])
         elif a.fn == "COUNT_E":
             out[a.name] = float(val[Channel(a.etype, None)])
         elif a.fn == "SUM":
@@ -82,12 +99,11 @@ def aggregates(
 class _Rec:
     """Graph node: one matched event with its intermediate aggregates."""
 
-    __slots__ = ("event", "cnt", "chan")
+    __slots__ = ("event", "vals")
 
-    def __init__(self, event: Event, cnt: int, chan: list):
+    def __init__(self, event: Event, vals: list):
         self.event = event
-        self.cnt = cnt
-        self.chan = chan  # per-channel intermediate values
+        self.vals = vals  # Eq. 2 value vector: [count, channels...]
 
 
 class GretaState:
@@ -99,12 +115,9 @@ class GretaState:
         self.channels = channels_for(q)
         self.recs: dict[str, list[_Rec]] = {t: [] for t in self.tpl.types}
         self.blocker_times: dict[str, list[float]] = {n: [] for n in self.tpl.neg_types}
-        # final accumulators (Eq. 3); trailing negation keeps a pending slice
-        # that a later matched negative event voids.
-        self.r_cnt = 0
-        self.r_chan = [0.0] * len(self.channels)
-        self._pend_cnt = 0
-        self._pend_chan = [0.0] * len(self.channels)
+        # the Eq. 3 sum over end events; under a trailing negation it is
+        # pending, and a later matched negative event voids it
+        self.res = zero(len(self.channels))
         self.ops = 0  # predecessor accesses — the model's n factor
         self.n_stored = 0
 
@@ -116,46 +129,33 @@ class GretaState:
                 self.blocker_times[e.etype].append(e.time)
                 if tpl.trailing_neg == e.etype:
                     # trends ending before this negative match are voided
-                    self._pend_cnt = 0
-                    self._pend_chan = [0.0] * len(self.channels)
+                    self.res = zero(len(self.channels))
             return
         if e.etype not in tpl.types or not self.q.matches(e):
             return
-        start = 1 if e.etype in tpl.start else 0
-        pe_cnt = 0
-        pe_chan = [0.0] * len(self.channels)
+        vals = [1 if e.etype in tpl.start else 0] + [0.0] * len(self.channels)
         ptypes = {edge.ptype for edge in tpl.pt.get(e.etype, ())}
         for ptype in ptypes:
             for rec in self.recs.get(ptype, ()):  # THE O(n) loop (Eq. 4)
                 self.ops += 1
                 if edge_ok(self.q, tpl, rec.event, e, self.blocker_times):
-                    pe_cnt += rec.cnt
-                    for i in range(len(self.channels)):
-                        pe_chan[i] += rec.chan[i]
-        cnt = start + pe_cnt
-        chan = pe_chan
-        for i, c in enumerate(self.channels):
+                    for i, v in enumerate(rec.vals):
+                        vals[i] += v
+        for i, c in enumerate(self.channels, CNT + 1):
             if e.etype == c.etype:
-                chan[i] += cnt * (1 if c.attr is None else e.attrs.get(c.attr, 0.0))
-        rec = _Rec(e, cnt, chan)
-        self.recs[e.etype].append(rec)
+                vals[i] += vals[CNT] * (1 if c.attr is None else e.attrs.get(c.attr, 0.0))
+        self.recs[e.etype].append(_Rec(e, vals))
         self.n_stored += 1
         if e.etype in tpl.end:
-            if tpl.trailing_neg is not None:
-                self._pend_cnt += cnt
-                for i in range(len(self.channels)):
-                    self._pend_chan[i] += chan[i]
-            else:
-                self.r_cnt += cnt
-                for i in range(len(self.channels)):
-                    self.r_chan[i] += chan[i]
+            for i, v in enumerate(vals):
+                self.res[i] += v
 
     # -- finalize -----------------------------------------------------------
     def _participants(self) -> list[_Rec]:
         """Events participating in >=1 complete trend (for MIN/MAX).
 
-        Reverse pass: an event participates iff cnt>0 and it reaches a
-        valid end event through the match DAG.
+        Reverse pass: an event participates iff its count > 0 and it
+        reaches a valid end event through the match DAG.
         """
         all_recs = sorted(
             (r for recs in self.recs.values() for r in recs), key=lambda r: r.event.time
@@ -175,7 +175,7 @@ class GretaState:
                         ok = True
                         break
             reach[id(r)] = ok
-        return [r for r in all_recs if r.cnt > 0 and reach[id(r)]]
+        return [r for r in all_recs if r.vals[CNT] > 0 and reach[id(r)]]
 
     def results(self) -> dict[str, float]:
         """Final aggregates for this window instance (Eq. 3 + channels)."""
@@ -185,17 +185,11 @@ class GretaState:
         for a in mm:
             vals = [r.event.attrs.get(a.attr, 0.0) for r in parts if r.event.etype == a.etype]
             extremes[a.name] = (min if a.fn == "MIN" else max)(vals, default=math.nan)
-        return aggregates(
-            self.q,
-            self.channels,
-            self.r_cnt + self._pend_cnt,
-            [a + b for a, b in zip(self.r_chan, self._pend_chan)],
-            extremes,
-        )
+        return aggregates(self.q, self.channels, self.res, extremes)
 
     def exact_count(self) -> int:
         """COUNT(*) as an exact integer (may exceed float precision)."""
-        return self.r_cnt + self._pend_cnt
+        return self.res[CNT]
 
 
 def run_greta(events: Sequence[Event], q: Query) -> dict[str, float]:

@@ -24,10 +24,10 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from .events import Event
-from .greta import Channel, aggregates, channels_for
+from .greta import CNT, Channel, add_into, aggregates, channels_for, zero
 from .optimizer import BurstStats, choose_plan
 from .queries import Query
-from .snapshots import CNT, ONE_ID, SnapshotTable, Vec, vadd
+from .snapshots import ONE_ID, SnapshotTable, Vec, vadd
 from .template import Template, build_template
 
 
@@ -98,10 +98,10 @@ class HamletSetEngine:
             self.E in self.tpls[q.qid].start for q in self.qs
         )
         self.edge_pred_qids = frozenset(q.qid for q in self.qs if q.edge_pred)
-        # per-query state ---------------------------------------------------
-        z = lambda: [0] + [0.0] * self.nch
+        # per-query state: value vectors [count, channels...] -------------
+        self._zero = tuple(zero(self.nch))
         self.totals: dict[str, dict[str, list]] = {
-            q.qid: {t: z() for t in self.tpls[q.qid].types} for q in self.qs
+            q.qid: {t: zero(self.nch) for t in self.tpls[q.qid].types} for q in self.qs
         }
         self.cuts: dict[tuple, list] = {}  # (qid, ptype, blocker) -> totals copy
         # an edge-predicate query's stored (event, values) records per Kleene
@@ -109,10 +109,9 @@ class HamletSetEngine:
         self.krecs: dict[tuple, list] = {
             (q.qid, t): [] for q in self.qs if q.edge_pred for t in self.tpls[q.qid].kleene
         }
-        self.r_cnt: dict[str, int] = {q.qid: 0 for q in self.qs}
-        self.r_chan: dict[str, list] = {q.qid: [0.0] * self.nch for q in self.qs}
-        self.p_cnt: dict[str, int] = {q.qid: 0 for q in self.qs}
-        self.p_chan: dict[str, list] = {q.qid: [0.0] * self.nch for q in self.qs}
+        # the Eq. 3 sum over end events; under a trailing negation it is
+        # pending, and a later matched negative event voids it
+        self.res: dict[str, list] = {q.qid: zero(self.nch) for q in self.qs}
         self.mm: dict[str, dict[str, list]] = {
             q.qid: {
                 a.name: [math.inf, -math.inf]
@@ -159,31 +158,22 @@ class HamletSetEngine:
                         )
 
     # -- bookkeeping helpers -------------------------------------------
-    def _eff_total(self, qid: str, ptype: str, blocker: Optional[str]) -> list:
-        tot = self.totals[qid][ptype]
-        self.m.ops += 1
-        if blocker is None:
-            return tot
-        cut = self.cuts.get((qid, ptype, blocker))
-        if cut is None:
-            return tot
-        return [a - b for a, b in zip(tot, cut)]
-
-    def _add_into(self, dst: list, src: Sequence) -> None:
-        dst[0] += src[0]
-        for i in range(1, 1 + self.nch):
-            dst[i] += src[i]
-
-    def _accum_result(self, qid: str, vals: Sequence) -> None:
-        tpl = self.tpls[qid]
-        if tpl.trailing_neg is not None:
-            self.p_cnt[qid] += vals[0]
-            for i in range(self.nch):
-                self.p_chan[qid][i] += vals[1 + i]
-        else:
-            self.r_cnt[qid] += vals[0]
-            for i in range(self.nch):
-                self.r_chan[qid][i] += vals[1 + i]
+    def _pred_totals(self, qid: str, etype: str, skip: Optional[str] = None) -> list:
+        """The sum of the per-type totals of ``etype``'s predecessor types
+        for query ``qid`` (Eq. 2), each less its negation cut. ``skip`` is a
+        predecessor type whose values come from elsewhere."""
+        vals = list(self._zero)
+        totals = self.totals[qid]
+        for edge in self.tpls[qid].pt.get(etype, ()):
+            if edge.ptype == skip:
+                continue
+            self.m.ops += 1
+            tot = totals[edge.ptype]
+            cut = None
+            if edge.blocker is not None:
+                cut = self.cuts.get((qid, edge.ptype, edge.blocker))
+            add_into(vals, tot if cut is None else [a - b for a, b in zip(tot, cut)])
+        return vals
 
     def _update_minmax(self, qid: str, e: Event) -> None:
         q = self.by_qid[qid]
@@ -233,8 +223,7 @@ class HamletSetEngine:
                         self.totals[qid][edge.ptype]
                     )
         if tpl.trailing_neg == e.etype:
-            self.p_cnt[qid] = 0
-            self.p_chan[qid] = [0.0] * self.nch
+            self.res[qid] = list(self._zero)
 
     def _value(self, qid: str, e: Event) -> list:
         """Eq. 2: ``[count, channel values...]`` of matched event ``e`` for
@@ -246,31 +235,27 @@ class HamletSetEngine:
         predecessors come instead from its stored records, checked pairwise.
         A sharer of the open graphlet resolves the graphlet's entry snapshot
         plus its events so far."""
-        tpl = self.tpls[qid]
-        vals = [1 if e.etype in tpl.start else 0] + [0.0] * self.nch
         recs = self.krecs.get((qid, e.etype))
         sh = self.shared
         if recs is None and sh is not None and qid in sh["sharers"]:
-            pe: Vec = {(sh["entry"], CNT): 1}
-            vadd(pe, sh["run_cnt"])
-            vals[0] += self.S.resolve(pe, qid)
-            self.m.ops += len(pe)
-            for i in range(self.nch):
-                pv: Vec = {(sh["entry"], i): 1.0}
-                vadd(pv, sh["run_chan"][i])
-                vals[1 + i] = float(self.S.resolve(pv, qid))
+            vals = []
+            for c, run in enumerate(sh["run"]):
+                pv: Vec = {(sh["entry"], c): 1 if c == CNT else 1.0}
+                vadd(pv, run)
+                vals.append(self.S.resolve(pv, qid))
+                if c == CNT:
+                    self.m.ops += len(pv)
         else:
-            for edge in tpl.pt.get(e.etype, ()):
-                if recs is None or edge.ptype != e.etype:
-                    self._add_into(vals, self._eff_total(qid, edge.ptype, edge.blocker))
+            vals = self._pred_totals(qid, e.etype, None if recs is None else e.etype)
             for pev, pvals in recs or ():
                 self.m.ops += 1
                 if self.by_qid[qid].edge_pred.ok(pev, e):
-                    self._add_into(vals, pvals)
-        for i, c in enumerate(self.channels):
+                    add_into(vals, pvals)
+        if e.etype in self.tpls[qid].start:
+            vals[CNT] += 1
+        for i, c in enumerate(self.channels, CNT + 1):
             if c.etype == e.etype:
-                scale = 1.0 if c.attr is None else e.attrs.get(c.attr, 0.0)
-                vals[1 + i] += vals[0] * scale
+                vals[i] += vals[CNT] * (1.0 if c.attr is None else e.attrs.get(c.attr, 0.0))
         return vals
 
     def _store(self, qid: str, e: Event, vals: list) -> None:
@@ -279,11 +264,11 @@ class HamletSetEngine:
         recs = self.krecs.get((qid, e.etype))
         if recs is not None:
             recs.append((e, tuple(vals)))
-        self._add_into(self.totals[qid][e.etype], vals)
+        add_into(self.totals[qid][e.etype], vals)
         self.m.stored_events += 1
         if e.etype in self.tpls[qid].end:
-            self._accum_result(qid, vals)
-            if vals[0] > 0:
+            add_into(self.res[qid], vals)
+            if vals[CNT] > 0:
                 self._update_minmax(qid, e)
 
     # -- Kleene burst handling -----------------------------------------
@@ -337,30 +322,23 @@ class HamletSetEngine:
     def _live_snapshots(self) -> int:
         if self.shared is None:
             return 0
-        ids = {k[0] for k in self.shared["run_cnt"]}
-        for v in self.shared["run_chan"]:
-            ids.update(k[0] for k in v)
-        return len(ids)
+        return len({sid for run in self.shared["run"] for sid, _ in run})
 
     def _open_shared(self, sharers: frozenset) -> None:
         per_query: dict[str, tuple] = {}
         for qid in sharers:
-            tpl = self.tpls[qid]
-            vals = [0] + [0.0] * self.nch
-            for edge in tpl.pt.get(self.E, ()):
-                self._add_into(vals, self._eff_total(qid, edge.ptype, edge.blocker))
-            per_query[qid] = (vals[0], *vals[1:])
+            per_query[qid] = tuple(self._pred_totals(qid, self.E))
         sid = self.S.create(per_query)
         self.m.snapshots_created += 1
         self.shared = {
             "sharers": sharers,
             "entry": sid,
-            "run_cnt": {},
-            "run_chan": [dict() for _ in range(self.nch)],
+            # the events so far, one coefficient vector per value index
+            "run": [{} for _ in range(1 + self.nch)],
             "g": 0,
             # MIN/MAX participation gate per query (entry count > 0 or start)
             "gate": {
-                qid: per_query[qid][0] > 0
+                qid: per_query[qid][CNT] > 0
                 or self.E in self.tpls[qid].start
                 for qid in sharers
             },
@@ -371,14 +349,11 @@ class HamletSetEngine:
         if sh is None:
             return
         for qid in sh["sharers"]:
-            c = self.S.resolve(sh["run_cnt"], qid)
-            self.m.ops += len(sh["run_cnt"])
-            vals = [c] + [
-                float(self.S.resolve(sh["run_chan"][i], qid)) for i in range(self.nch)
-            ]
-            self._add_into(self.totals[qid][self.E], vals)
+            vals = [self.S.resolve(run, qid) for run in sh["run"]]
+            self.m.ops += len(sh["run"][CNT])
+            add_into(self.totals[qid][self.E], vals)
             if self.E in self.tpls[qid].end:
-                self._accum_result(qid, vals)
+                add_into(self.res[qid], vals)
         self.shared = None
         self.S.gc()
 
@@ -392,26 +367,28 @@ class HamletSetEngine:
         if not M:
             return
         uniform = M == sharers and not (sharers & self.edge_pred_qids)
-        entry = sh["entry"]
+        run = sh["run"]
         if uniform:
-            vec_cnt: Vec = {(entry, CNT): 1}
-            vadd(vec_cnt, sh["run_cnt"])
+            # Eq. 2 over coefficient vectors: the entry snapshot, the events
+            # so far, the start term, then each channel's own attr·count term
+            entry = sh["entry"]
+            cnt: Vec = {(entry, CNT): 1}
+            vadd(cnt, run[CNT])
             if self._any_kleene_start:
-                vec_cnt[(ONE_ID, CNT)] = vec_cnt.get((ONE_ID, CNT), 0) + 1
-            vec_chan: list[Vec] = []
-            for i, c in enumerate(self.channels):
+                cnt[(ONE_ID, CNT)] = cnt.get((ONE_ID, CNT), 0) + 1
+            vecs = [cnt]
+            for i, c in enumerate(self.channels, CNT + 1):
                 v: Vec = {(entry, i): 1.0}
-                vadd(v, sh["run_chan"][i])
+                vadd(v, run[i])
                 if c.etype == self.E:
-                    scale = 1.0 if c.attr is None else e.attrs.get(c.attr, 0.0)
-                    vadd(v, vec_cnt, scale)
-                vec_chan.append(v)
-            self.m.coeff_ops += len(vec_cnt) + sum(len(v) for v in vec_chan)
+                    vadd(v, cnt, 1.0 if c.attr is None else e.attrs.get(c.attr, 0.0))
+                vecs.append(v)
+            self.m.coeff_ops += sum(len(v) for v in vecs)
         else:
             per_query: dict[str, tuple] = {}
             for qid in sharers:
                 if qid not in M:
-                    per_query[qid] = (0, *([0.0] * self.nch))
+                    per_query[qid] = self._zero
                     continue
                 per_query[qid] = tuple(self._value(qid, e))
                 recs = self.krecs.get((qid, self.E))
@@ -419,11 +396,9 @@ class HamletSetEngine:
                     recs.append((e, per_query[qid]))
             y = self.S.create(per_query)
             self.m.snapshots_created += 1
-            vec_cnt = {(y, CNT): 1}
-            vec_chan = [{(y, i): 1.0} for i in range(self.nch)]
-        vadd(sh["run_cnt"], vec_cnt)
-        for i in range(self.nch):
-            vadd(sh["run_chan"][i], vec_chan[i])
+            vecs = [{(y, c): 1 if c == CNT else 1.0} for c in range(len(run))]
+        for dst, v in zip(run, vecs):
+            vadd(dst, v)
         sh["g"] += 1
         self.m.stored_events += 1
         for qid in M:
@@ -440,9 +415,7 @@ class HamletSetEngine:
         """Analytic peak-memory estimate (bytes) — DESIGN.md substitutions."""
         coeffs = 0
         if self.shared is not None:
-            coeffs = len(self.shared["run_cnt"]) + sum(
-                len(v) for v in self.shared["run_chan"]
-            )
+            coeffs = sum(len(run) for run in self.shared["run"])
         snap_entries = sum(len(v) for v in self.S.vals.values())
         krec = sum(len(v) for v in self.krecs.values())
         totals_entries = sum(len(v) for v in self.totals.values())
@@ -466,17 +439,11 @@ class HamletSetEngine:
                     lo, hi = self.mm[qid][a.name]
                     v = lo if a.fn == "MIN" else hi
                     extremes[a.name] = v if math.isfinite(v) else math.nan
-            out[qid] = aggregates(
-                q,
-                self.channels,
-                self.r_cnt[qid] + self.p_cnt[qid],
-                [a + b for a, b in zip(self.r_chan[qid], self.p_chan[qid])],
-                extremes,
-            )
+            out[qid] = aggregates(q, self.channels, self.res[qid], extremes)
         return out
 
     def exact_counts(self) -> dict[str, int]:
-        return {q.qid: self.r_cnt[q.qid] + self.p_cnt[q.qid] for q in self.qs}
+        return {q.qid: self.res[q.qid][CNT] for q in self.qs}
 
 
 def run_hamlet_set(

@@ -1,25 +1,26 @@
 """Snapshot algebra for shared trend aggregation (paper §3.3).
 
-A *snapshot* is a variable whose per-query (and per aggregate channel)
-values live in the snapshot table ``S`` (paper data structure (3)).
+A *snapshot* is a variable whose per-query values live in the snapshot
+table ``S`` (paper data structure (3)). A value is the Eq. 2 vector
+``(count, channel_1, ..., channel_m)`` of ``greta``: the trend count at
+index ``CNT = 0``, then one entry per linear aggregate channel
+(COUNT(E)/SUM).
 Inside a shared graphlet, each event's intermediate aggregates are
 sparse *coefficient vectors* over snapshots (data structure (2) — the
 paper's example ``count(b6, Q) = 4x + z`` is the vector ``{x:4, z:1}``).
 
-Vectors are dicts keyed by ``(snapshot_id, channel)`` where channel
-``-1`` is the trend count and ``0..m-1`` are linear aggregate channels
-(COUNT(E)/SUM). A SUM channel may reference the *count* value of a
-snapshot (the ``attr(e)·count(e)`` term), which is why the channel is
+Vectors are dicts keyed by ``(snapshot_id, c)``, where ``c`` indexes the
+snapshot's value vector. A SUM channel may reference the *count* value
+of a snapshot (the ``attr(e)·count(e)`` term), which is why the index is
 part of the key.
 """
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-Key = Tuple[int, int]  # (snapshot id, channel index; -1 = count)
+Key = Tuple[int, int]  # (snapshot id, index into its value vector)
 Vec = Dict[Key, float]
 
-CNT = -1
 ONE_ID = 0  # reserved constant snapshot: count value 1/0 per query (start term)
 
 
@@ -37,11 +38,11 @@ def vadd(dst: Vec, src: Vec, scale: float = 1.0) -> None:
 
 
 class SnapshotTable:
-    """Table ``S``: snapshot id -> qid -> per-channel values.
+    """Table ``S``: snapshot id -> qid -> value vector.
 
-    Values are tuples ``(cnt, chan_0, ..., chan_{m-1})`` with ``cnt`` kept
-    as an exact Python int (trend counts are astronomically large — 2^g —
-    and must not lose precision) and channels as floats.
+    Values are tuples ``(count, channel_1, ..., channel_m)`` with the
+    count kept as an exact Python int (trend counts are astronomically
+    large — 2^g — and must not lose precision) and channels as floats.
     """
 
     def __init__(self, n_channels: int):
@@ -55,23 +56,19 @@ class SnapshotTable:
         self.vals[ONE_ID] = {qid: (s, *zeros) for qid, s in per_query_start.items()}
 
     def create(self, per_query: dict[str, tuple]) -> int:
-        """New snapshot with the given per-query (cnt, chans...) values."""
+        """New snapshot with the given per-query value vectors."""
         sid = self._next_id
         self._next_id += 1
         self.vals[sid] = per_query
         return sid
 
-    def value(self, sid: int, qid: str, channel: int):
-        v = self.vals[sid].get(qid)
-        if v is None:
-            return 0
-        return v[0] if channel == CNT else v[1 + channel]
-
     def resolve(self, vec: Vec, qid: str):
-        """Evaluate a coefficient vector for one query (Σ coeff · S[x][q])."""
+        """Evaluate a coefficient vector for one query (Σ coeff · S[x][q][c]);
+        a snapshot without a value for ``qid`` contributes 0."""
         total = 0
-        for (sid, ch), coeff in vec.items():
-            total += coeff * self.value(sid, qid, ch)
+        for (sid, c), coeff in vec.items():
+            v = self.vals[sid].get(qid)
+            total += coeff * (0 if v is None else v[c])
         return total
 
     def gc(self) -> None:

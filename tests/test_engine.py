@@ -2,6 +2,7 @@
 (paper §6.1 metric definitions)."""
 import pytest
 
+from repro.core.brute import brute_results
 from repro.core.engine import RunResult, SYSTEMS, run_system, window_instances
 from repro.core.events import Event
 from repro.core.hamlet import Metrics
@@ -106,3 +107,32 @@ def test_mixed_workload_with_non_kleene_query():
     greta_mem = run_system(events, qs[1:], "greta").metrics.peak_mem_bytes
     for system in ("hamlet", "hamlet-static", "hamlet-nonshared"):
         assert run_system(events, qs[1:], system).metrics.peak_mem_bytes == greta_mem > 0
+
+
+_TIE_DEFECT = pytest.mark.xfail(
+    strict=True,
+    reason="known defect, ROADMAP item 5a: a same-time event is taken as a "
+    "predecessor; brute force requires prev.time < cur.time",
+)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        pytest.param(s, marks=_TIE_DEFECT)
+        for s in ("greta", "hamlet", "hamlet-static", "hamlet-nonshared", "sharon")
+    ]
+    + ["mcep"],
+)
+def test_equal_timestamps_match_brute(system):
+    """SEQ(A, B+) over A(0), B(1), B(1): the two B's are not ordered, so
+    brute force counts 2 trends. The second query makes hamlet and
+    hamlet-static share the burst."""
+    events = [_ev(0.0, "A"), _ev(1.0, "B"), _ev(1.0, "B")]
+    qs = [
+        Query(qid="q", elems=seq(Atom("A"), Kleene("B")), window=10.0, slide=10.0),
+        Query(qid="c", elems=seq(Atom("C"), Kleene("B")), window=10.0, slide=10.0),
+    ]
+    want = brute_results(events, qs[0])["COUNT(*)"]
+    assert want == 2.0
+    assert run_system(events, qs, system).results[("q", 0.0)]["COUNT(*)"] == want

@@ -2,7 +2,7 @@
 (paper §3.2, Eq. 1–4) across a broad randomized space."""
 import pytest
 
-from repro.core.greta import GretaState, run_greta
+from repro.core.greta import CNT, GretaState, run_greta
 from repro.core.queries import AggSpec, Atom, Kleene, Pred, Query, seq
 
 from util import PATTERNS, assert_matches_brute, random_events, random_query
@@ -37,7 +37,7 @@ def test_intermediate_counts_double():
     counts = []
     for i in range(4):
         st.on_event(Event(i + 1.0, "B", {}))
-        counts.append(st.recs["B"][-1].cnt)
+        counts.append(st.recs["B"][-1].vals[CNT])
     assert counts == [1, 2, 4, 8]
     assert st.exact_count() == 15
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.brute import brute_results
 from repro.core.events import Event
+from repro.core.greta import CNT
 from repro.core.hamlet import HamletSetEngine, run_hamlet_set
 from repro.core.optimizer import BurstStats, CostModel, choose_plan
 from repro.core.queries import Atom, EdgePred, Kleene, Query, seq
@@ -58,8 +59,8 @@ def test_table3_shared_propagation_doubles():
         eng.on_event(_ev(3 + i, "B"))
         eng._flush_burst()  # white-box: force the buffered burst through
         sh = eng.shared
-        counts_q1.append(eng.S.resolve(sh["run_cnt"], "q1"))
-        counts_q2.append(eng.S.resolve(sh["run_cnt"], "q2"))
+        counts_q1.append(eng.S.resolve(sh["run"][CNT], "q1"))
+        counts_q2.append(eng.S.resolve(sh["run"][CNT], "q2"))
     # running sums after each event: x,3x,7x,15x with x=2 (q1) / x=1 (q2)
     assert counts_q1 == [2, 6, 14, 30]
     assert counts_q2 == [1, 3, 7, 15]

@@ -4,9 +4,10 @@ output must equal the batch engine's."""
 import pandas as pd
 import pytest
 
+from repro.core.brute import brute_results
 from repro.core.engine import run_system
 from repro.core.events import events_from_pandas
-from repro.core.queries import Atom, Query, seq
+from repro.core.queries import Atom, Kleene, Query, seq
 from repro.core.workloads import workload1
 from repro.sparkrt.batch import run_workload_spark
 from repro.sparkrt.streaming import (
@@ -68,8 +69,6 @@ def test_streaming_emits_all_windows(streamed, stream_pdf):
 
 
 def test_streaming_rejects_mixed_windows(spark, tmp_path):
-    from repro.core.queries import Kleene
-
     wl = [
         Query(qid="a", elems=seq(Atom("R"), Kleene("T")), window=20.0, slide=20.0),
         Query(qid="b", elems=seq(Atom("P"), Kleene("T")), window=40.0, slide=40.0),
@@ -117,3 +116,31 @@ def test_stateful_func_equals_run_system(stream_pdf, workload, system):
     want = pd.DataFrame(want, columns=OUT_COLS).sort_values(key).reset_index(drop=True)
     assert got["qid"].eq("nk").any() and len(panes) >= 4
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+@pytest.mark.parametrize("system", ["greta", "hamlet", "hamlet-static", "hamlet-nonshared"])
+def test_event_just_before_window_end_counts(system):
+    """Window instances are half-open, [start, start + window): an event at
+    60 - 5e-13 belongs to the 60-s window 0, in the batch engine and in the
+    streaming operator (which keys it by ``int(t // window)``) alike."""
+    q = Query(qid="q", elems=seq(Atom("A"), Kleene("B")), window=60.0, slide=60.0)
+    pdf = pd.DataFrame(
+        {
+            "time": [1.0, 2.0, 60.0 - 5e-13, 61.0],
+            "etype": ["A", "B", "B", "B"],
+            "gkey": 0,
+            **{c: 0.0 for c in ATTR_COLS},
+        }
+    )
+    events = events_from_pandas(pdf, ATTR_COLS)
+    want = brute_results([e for e in events if e.time < 60.0], q)["COUNT(*)"]
+    assert want == 3.0
+    batch = run_system(events, [q], system).results
+    assert batch[("q", 0.0)]["COUNT(*)"] == want
+    func = make_stateful_func([q], system, 60.0)
+    state = _StubGroupState()
+    flush = pdf.iloc[[-1]].assign(time=180.0, etype=FLUSH_TYPE)
+    rows = pd.concat([f for pane in (pdf, flush) for f in func((0,), iter([pane]), state)])
+    stream = rows.set_index(["window_start", "qid", "agg"])["value"]
+    assert stream[(0.0, "q", "COUNT(*)")] == want
+    assert stream[(60.0, "q", "COUNT(*)")] == batch[("q", 60.0)]["COUNT(*)"] == 0.0

@@ -49,7 +49,12 @@ def random_query(seed: int, qid: str = "q", patterns=None) -> Query:
     return Query(
         qid=qid,
         elems=pat,
-        aggs=(AggSpec("COUNT_STAR"), AggSpec("SUM", "B", "v"), AggSpec("COUNT_E", "B")),
+        aggs=(
+            AggSpec("COUNT_STAR"),
+            AggSpec("SUM", "B", "v"),
+            AggSpec("COUNT_E", "B"),
+            AggSpec("AVG", "B", "v"),
+        ),
         where={"B": (Pred("v", ">=", rng.choice([0, 2, 4])),)} if rng.random() < 0.6 else {},
         edge_pred=rng.choice([None, None, EdgePred("v", "<=")]),
     )
