@@ -74,6 +74,7 @@ class HamletSetEngine:
             raise ValueError(mode)
         self.qs = list(queries)
         self.by_qid = {q.qid: q for q in self.qs}
+        self._qids = tuple(sorted(self.by_qid))
         self.E = kleene_type
         self.mode = mode
         self.pane = pane
@@ -103,6 +104,8 @@ class HamletSetEngine:
         self.totals: dict[str, dict[str, list]] = {
             q.qid: {t: zero(self.nch) for t in self.tpls[q.qid].types} for q in self.qs
         }
+        # no key is added after this, so the memory estimate counts it once
+        self._totals_entries = sum(len(v) for v in self.totals.values())
         self.cuts: dict[tuple, list] = {}  # (qid, ptype, blocker) -> totals copy
         # an edge-predicate query's stored (event, values) records per Kleene
         # type: its same-type predecessors are checked pairwise (Eq. 2)
@@ -276,16 +279,12 @@ class HamletSetEngine:
         if not self.burst:
             return
         burst, self.burst = self.burst, []
-        all_true = (True,) * len(burst)
         stats = BurstStats(
             b=len(burst),
+            qids=self._qids,
             match_vectors={
-                q.qid: (
-                    tuple(q.matches(ev) for ev in burst)
-                    if q.qid in self._kleene_pred_qids
-                    else all_true
-                )
-                for q in self.qs
+                qid: tuple(self.by_qid[qid].matches(ev) for ev in burst)
+                for qid in self._kleene_pred_qids
             },
             edge_pred_qids=self.edge_pred_qids,
         )
@@ -418,13 +417,12 @@ class HamletSetEngine:
             coeffs = sum(len(run) for run in self.shared["run"])
         snap_entries = sum(len(v) for v in self.S.vals.values())
         krec = sum(len(v) for v in self.krecs.values())
-        totals_entries = sum(len(v) for v in self.totals.values())
         mem = (
             self.m.stored_events * 32
             + snap_entries * 16 * (1 + self.nch)
             + coeffs * 16
             + krec * 32
-            + totals_entries * 24
+            + self._totals_entries * 24
         )
         self.m.peak_mem_bytes = max(self.m.peak_mem_bytes, mem)
 

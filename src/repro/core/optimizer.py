@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,11 @@ class BurstStats:
     """Statistics of one complete burst, gathered by the executor before
     deciding (Definition 10/11): per-query match bit-vectors over the
     burst plus which queries carry Kleene edge predicates (those diverge
-    on every event — Definition 9)."""
+    on every event — Definition 9). A query absent from
+    ``match_vectors`` matches every event of the burst."""
 
     b: int
+    qids: tuple  # every member query, sorted
     match_vectors: Mapping[str, tuple]  # qid -> tuple[bool, ...] length b
     edge_pred_qids: frozenset
 
@@ -71,12 +73,20 @@ class SharingPlan:
     plans_considered: int = 1
 
 
-def _divergent_events(stats: BurstStats, qids: Sequence[str], reference: tuple) -> dict[str, int]:
+def _divergent_events(stats: BurstStats) -> dict[str, int]:
     """Per query: number of burst events where its match vector differs from
-    the reference vector (each such event forces an event-level snapshot)."""
+    the reference vector (each such event forces an event-level snapshot).
+
+    The reference is the majority vector among the queries without edge
+    predicates; queries matching it introduce no snapshots (Thm 4.1)."""
+    all_true = (True,) * stats.b
+    vecs = {qid: stats.match_vectors.get(qid, all_true) for qid in stats.qids}
+    vec_counts = Counter(
+        mv for qid, mv in vecs.items() if qid not in stats.edge_pred_qids
+    )
+    reference = vec_counts.most_common(1)[0][0] if vec_counts else all_true
     out = {}
-    for qid in qids:
-        mv = stats.match_vectors[qid]
+    for qid, mv in vecs.items():
         if qid in stats.edge_pred_qids:
             out[qid] = stats.b  # edge predicates diverge on every event
         else:
@@ -98,7 +108,7 @@ def choose_plan(
     ``mode``: 'dynamic' (Hamlet), 'static' (always share everything —
     the compile-time strawman of Figs. 12–13), 'nonshared' (GRETA path).
     """
-    qids = sorted(stats.match_vectors)
+    qids = stats.qids
     k_all = len(qids)
     if mode == "static":
         return SharingPlan(shared=frozenset(qids) if k_all > 1 else frozenset())
@@ -106,38 +116,31 @@ def choose_plan(
         return SharingPlan(shared=frozenset())
     assert mode == "dynamic", mode
 
-    # Reference match vector: the majority vector among snapshot-free
-    # candidates; queries matching it introduce no snapshots (Thm 4.1 —
-    # always beneficial to share them).
-    vec_counts = Counter(
-        stats.match_vectors[qid] for qid in qids if qid not in stats.edge_pred_qids
-    )
-    if not vec_counts:
-        reference = (True,) * stats.b
-    else:
-        reference = vec_counts.most_common(1)[0][0]
-    div = _divergent_events(stats, qids, reference)
-    core = [qid for qid in qids if div[qid] == 0]
-    others = [qid for qid in qids if div[qid] > 0]
-
     b, g = stats.b, max(g_active + stats.b, 1)
     n = max(n_so_far, 1)
-    # Thm 4.2 marginal test per snapshot-introducing query (Eq. 14): share q
-    # iff the snapshots it introduces cost less than recomputing it.
-    shared = list(core)
-    plans = 1
-    for qid in others:
-        plans += 1
-        snap_cost = div[qid] * g * max(p_avg, 1.0)
-        recompute_cost = b * (math.log2(max(g, 1.0)) + n)
-        if snap_cost <= recompute_cost:
-            shared.append(qid)
+    if stats.match_vectors or stats.edge_pred_qids:
+        div = _divergent_events(stats)
+        shared = [qid for qid in qids if div[qid] == 0]
+        others = [qid for qid in qids if div[qid] > 0]
+        # Thm 4.2 marginal test per snapshot-introducing query (Eq. 14):
+        # share q iff the snapshots it introduces cost less than
+        # recomputing it.
+        for qid in others:
+            snap_cost = div[qid] * g * max(p_avg, 1.0)
+            recompute_cost = b * (math.log2(max(g, 1.0)) + n)
+            if snap_cost <= recompute_cost:
+                shared.append(qid)
+        s_c = max((div[qid] for qid in shared), default=0)
+    else:
+        # Thm 4.1 fast path: every query matches every event, so none
+        # introduces a snapshot and all of them are candidates
+        shared, others, s_c = qids, (), 0
+    plans = 1 + len(others)
     if len(shared) < 2:
         return SharingPlan(
             shared=frozenset(), m_snapshot_queries=len(others), plans_considered=plans
         )
     # Overall share-vs-split decision for the chosen set (Eq. 8).
-    s_c = max((div[qid] for qid in shared), default=0)
     ben = _COST.benefit(
         b=b, n=n, g=g, s_c=s_c, s_p=max(s_p_live, 1), k=len(shared), p=max(p_avg, 1.0)
     )

@@ -57,8 +57,9 @@ def run_workload_spark(
         events = events_from_pandas(pdf, attr_cols)
         return result_frame(gkey, run_system(events, workload, system, **run_kwargs).results)
 
+    # an explicit count, which AQE does not coalesce: one task per core
     return (
-        events_df.repartition("gkey")
+        events_df.repartition(spark.sparkContext.defaultParallelism, "gkey")
         .groupBy("gkey")
         .applyInPandas(_run_group, OUT_SCHEMA)
     )

@@ -11,6 +11,13 @@ each burst (``choose_plan``), so plans adapt micro-batch by micro-batch
 exactly as the paper's optimizer adapts per burst. Completed windows
 are emitted in update mode; a far-future flush sentinel closes the final
 windows (the offline stand-in for a watermark).
+
+The state store has one instance per shuffle partition, and every
+micro-batch opens, updates and commits each of them. ``run_stream``
+therefore starts the query with one partition per core of the session
+(``defaultParallelism``), whatever the session's
+``spark.sql.shuffle.partitions`` says; the checkpoint pins that count for
+the life of the stream (DESIGN.md §3).
 """
 from __future__ import annotations
 
@@ -160,12 +167,21 @@ def run_stream(
         if len(pdf):
             collected.append(pdf)
 
-    q = (
-        out.writeStream.foreachBatch(sink)
-        .option("checkpointLocation", checkpoint_dir)
-        .outputMode("update")
-        .start()
-    )
+    # The query copies the session conf when it starts and its first
+    # checkpoint pins the state-partition count, so the count is set on the
+    # caller's session (its listeners must see the query) for the start only.
+    conf_key = "spark.sql.shuffle.partitions"
+    prior = spark.conf.get(conf_key)
+    spark.conf.set(conf_key, spark.sparkContext.defaultParallelism)
+    try:
+        q = (
+            out.writeStream.foreachBatch(sink)
+            .option("checkpointLocation", checkpoint_dir)
+            .outputMode("update")
+            .start()
+        )
+    finally:
+        spark.conf.set(conf_key, prior)
     try:
         q.processAllAvailable()
     finally:

@@ -2,7 +2,7 @@
 query-set choice, Theorems 4.1/4.2 behaviour (paper §4)."""
 import pytest
 
-from repro.core.optimizer import BurstStats, CostModel, choose_plan
+from repro.core.optimizer import BurstStats, CostModel, SharingPlan, choose_plan
 
 COST = CostModel()
 
@@ -16,7 +16,7 @@ def _stats(k=4, b=6, divergent=(), edge_pred=()):
         else:
             vec = (True,) * b
         mv[qid] = vec
-    return BurstStats(b=b, match_vectors=mv, edge_pred_qids=frozenset(edge_pred))
+    return BurstStats(b=b, qids=tuple(mv), match_vectors=mv, edge_pred_qids=frozenset(edge_pred))
 
 
 def test_benefit_grows_with_k():
@@ -90,9 +90,31 @@ def test_split_when_overall_benefit_negative():
     # every query diverges on most events -> sharing cannot pay off
     b = 6
     mv = {f"q{i}": tuple((j + i) % 2 == 0 for j in range(b)) for i in range(4)}
-    stats = BurstStats(b=b, match_vectors=mv, edge_pred_qids=frozenset())
+    stats = BurstStats(b=b, qids=tuple(mv), match_vectors=mv, edge_pred_qids=frozenset())
     plan = choose_plan(stats, mode="dynamic", n_so_far=2, g_active=50_000, s_p_live=40, p_avg=4)
     assert plan.shared == frozenset()
+
+
+@pytest.mark.parametrize(
+    "s_p_live, share",
+    # k = 2, b = g = 1: the Eq. 8 benefit is n·(2 − s_p), up to log2(1 + 1e-12)
+    [(1, True), (3, False)],
+)
+def test_pred_free_burst_fast_path_plan(s_p_live, share):
+    """Thm 4.1 fast path: a burst that every query matches, passed without
+    match vectors, gets the plan of the general path over explicit
+    all-true vectors, the Eq. 8 split included."""
+    kw = dict(mode="dynamic", n_so_far=10, g_active=0, s_p_live=s_p_live, p_avg=2)
+    qids = ("q0", "q1")
+    general = BurstStats(
+        b=1, qids=qids, match_vectors=dict.fromkeys(qids, (True,)), edge_pred_qids=frozenset()
+    )
+    fast = BurstStats(b=1, qids=qids, match_vectors={}, edge_pred_qids=frozenset())
+    plan = choose_plan(fast, **kw)
+    assert plan == choose_plan(general, **kw)
+    assert plan == SharingPlan(
+        shared=frozenset(qids) if share else frozenset(), plans_considered=1
+    )
 
 
 def test_plans_considered_is_m_plus_one():

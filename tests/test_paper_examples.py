@@ -147,6 +147,7 @@ def test_fig7_pruning_plans_considered():
     evaluated (Levels 1–2 of the Fig. 7 lattice), not 2^k."""
     stats = BurstStats(
         b=4,
+        qids=("q1", "q2", "q3", "q4"),
         match_vectors={
             "q1": (True,) * 4,
             "q2": (True, False, True, True),

@@ -74,7 +74,10 @@ def test_spark_result_schema(results_sdf):
     ]
 
 
-def test_partition_count_matches_groups(results_sdf, stream_pdf):
+def test_partition_count_matches_groups(spark, results_sdf, stream_pdf):
     got_groups = {r.gkey for r in results_sdf.select("gkey").distinct().collect()}
     assert got_groups <= set(stream_pdf["gkey"].unique())
     assert len(got_groups) >= 4
+    # one task per core, whatever the session's shuffle-partition count:
+    # AQE would coalesce a repartition without an explicit count into one
+    assert results_sdf.rdd.getNumPartitions() == spark.sparkContext.defaultParallelism

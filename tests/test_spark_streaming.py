@@ -1,8 +1,12 @@
 """Structured Streaming stateful operator: one pane per micro-batch,
 live Hamlet engine state across batches, dynamic sharing per burst —
 output must equal the batch engine's."""
+import json
+import time
+
 import pandas as pd
 import pytest
+from pyspark.sql.streaming import DataStreamWriter, StreamingQueryListener
 
 from repro.core.brute import brute_results
 from repro.core.engine import run_system
@@ -36,16 +40,60 @@ def workload():
     return workload1(3, kleene_type="T", window=WINDOW, slide=WINDOW)
 
 
+SHUFFLE_PARTITIONS = "spark.sql.shuffle.partitions"
+
+
+class _ProgressLog(StreamingQueryListener):
+    """The progress events of the queries on the session it is added to."""
+
+    def __init__(self):
+        self.progress = []
+
+    def onQueryStarted(self, event):
+        pass
+
+    def onQueryProgress(self, event):
+        self.progress.append(json.loads(event.progress.json))
+
+    def onQueryIdle(self, event):
+        pass
+
+    def onQueryTerminated(self, event):
+        pass
+
+    def wait_for(self, n, timeout=10.0):
+        """The first ``n`` progress events; they arrive asynchronously."""
+        t_end = time.monotonic() + timeout
+        while len(self.progress) < n and time.monotonic() < t_end:
+            time.sleep(0.05)
+        return self.progress[:n]
+
+
 @pytest.fixture(scope="module")
-def streamed(spark, stream_pdf, workload, tmp_path_factory):
+def stream_run(spark, stream_pdf, workload, tmp_path_factory):
+    """One ``run_stream`` call: its rows, the progress events a listener on
+    the caller's session saw, and the session's shuffle-partition setting
+    before and after the call."""
     base = tmp_path_factory.mktemp("stream")
     in_dir, ckpt = str(base / "in"), str(base / "ckpt")
     n_files = write_pane_files(stream_pdf, PANE, in_dir, WINDOW)
     assert n_files >= 3  # several micro-batches, not one big batch
-    out = run_stream(
-        spark, in_dir, workload, system="hamlet", window=WINDOW, checkpoint_dir=ckpt
-    )
-    return out
+    log = _ProgressLog()
+    spark.streams.addListener(log)
+    before = spark.conf.get(SHUFFLE_PARTITIONS)
+    try:
+        out = run_stream(
+            spark, in_dir, workload, system="hamlet", window=WINDOW, checkpoint_dir=ckpt
+        )
+        progress = log.wait_for(n_files)
+    finally:
+        spark.streams.removeListener(log)
+    return out, progress, before, spark.conf.get(SHUFFLE_PARTITIONS)
+
+
+@pytest.fixture(scope="module")
+def streamed(stream_run):
+    return stream_run[0]
 
 
 def test_streaming_equals_batch(spark, stream_pdf, workload, streamed):
@@ -66,6 +114,36 @@ def test_streaming_emits_all_windows(streamed, stream_pdf):
     got_windows = set(streamed["window_start"].unique())
     # every window that contains events must have been closed by the flush
     assert got_windows <= expected_windows and len(got_windows) >= 2
+
+
+def test_state_partitions_follow_session_parallelism(spark, stream_run):
+    """The state store has one partition per core, not the session's
+    shuffle-partition count, and the caller's setting is left as it was."""
+    _, progress, before, after = stream_run
+    ops = [op for p in progress for op in p["stateOperators"]]
+    assert ops
+    parallelism = spark.sparkContext.defaultParallelism
+    assert {op["numShufflePartitions"] for op in ops} == {parallelism}
+    assert after == before
+
+
+def test_run_stream_restores_conf_when_start_raises(spark, workload, tmp_path, monkeypatch):
+    seen = []
+
+    def failing_start(self, *args, **kwargs):
+        seen.append(spark.conf.get(SHUFFLE_PARTITIONS))
+        raise RuntimeError("start failed")
+
+    monkeypatch.setattr(DataStreamWriter, "start", failing_start)
+    before = spark.conf.get(SHUFFLE_PARTITIONS)
+    (tmp_path / "in").mkdir()
+    with pytest.raises(RuntimeError, match="start failed"):
+        run_stream(
+            spark, str(tmp_path / "in"), workload, window=WINDOW,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+    assert seen == [str(spark.sparkContext.defaultParallelism)]
+    assert spark.conf.get(SHUFFLE_PARTITIONS) == before
 
 
 def test_streaming_rejects_mixed_windows(spark, tmp_path):
