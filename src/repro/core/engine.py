@@ -11,8 +11,9 @@ system:
 - ``sharon`` / ``mcep`` — baselines (repro.baselines)
 
 ``window_executors`` is the one map from a system to the engines that
-evaluate a window instance; ``run_system`` and the Spark streaming
-operator both drive them.
+evaluate a window instance: it builds each entry's static plan once, and
+``run_system`` and the Spark streaming operator both drive the plans'
+engines.
 
 Windows: each (window, slide) signature is evaluated per window
 *instance* (DESIGN.md substitution: cross-window pane sharing is prior
@@ -25,14 +26,13 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Sequence
 
 from .events import Event
 from .greta import GretaState
-from .hamlet import HamletSetEngine, Metrics
+from .hamlet import HamletPlan, Metrics
 from .queries import Query
-from .template import pane_size, sharable_sets
+from .template import build_template, pane_size, sharable_sets
 
 SYSTEMS = ("hamlet", "hamlet-static", "hamlet-nonshared", "greta", "sharon", "mcep")
 
@@ -111,18 +111,32 @@ def _engine_groups(workload: Sequence[Query]):
     return groups
 
 
+class GretaPlan:
+    """The static part of a non-shared GRETA entry: its queries and their
+    templates, shared by the engines of every window instance."""
+
+    def __init__(self, queries: Sequence[Query]):
+        self.qs = tuple(queries)
+        self.tpls = {q.qid: build_template(q) for q in self.qs}
+
+    def new_engine(self) -> "GretaSetEngine":
+        """A fresh engine for one window instance of these queries."""
+        return GretaSetEngine(self)
+
+
 class GretaSetEngine:
     """Non-shared GRETA (§3.2) over one window instance of a query set.
 
     Eq. 4 prices non-shared execution as k independent per-query graphs;
-    this engine holds exactly those (one :class:`GretaState` per query)
-    behind the :class:`HamletSetEngine` interface. Each event is offered
-    to every query, so ``m.events`` counts ``k`` per event, and peak memory
-    is the k concurrently-live graphs (each query replicates its matched
-    events)."""
+    this engine holds exactly those (one :class:`GretaState` per query of
+    its :class:`GretaPlan`) behind the :class:`HamletSetEngine` interface.
+    Each event is offered to every query, so ``m.events`` counts ``k`` per
+    event, and peak memory is the k concurrently-live graphs (each query
+    replicates its matched events)."""
 
-    def __init__(self, queries: Sequence[Query]):
-        self.states = [GretaState(q) for q in queries]
+    def __init__(self, plan: GretaPlan):
+        self.plan = plan
+        self.states = [GretaState(q, plan.tpls[q.qid]) for q in plan.qs]
         self.m = Metrics()
 
     def on_event(self, e: Event) -> None:
@@ -145,17 +159,19 @@ _MODES = {"hamlet": "dynamic", "hamlet-static": "static", "hamlet-nonshared": "n
 def window_executors(workload: Sequence[Query], system: str) -> list[tuple]:
     """The per-window executors that evaluate ``workload`` under ``system``.
 
-    Returns ``(window, slide, new_engine)`` entries: ``new_engine()`` builds
-    a fresh engine (``on_event``, ``end_window``, ``results``, ``.m``) for
-    one window instance of its queries. ``greta`` gets one entry per
-    (window, slide) signature; the Hamlet systems get one per engine group,
-    and a non-Kleene singleton runs on GRETA.
+    Returns ``(window, slide, plan)`` entries. ``plan`` is the entry's
+    static analysis (a :class:`HamletPlan` or :class:`GretaPlan`, with its
+    queries in ``plan.qs``), built here once; ``plan.new_engine()`` builds a
+    fresh engine (``on_event``, ``end_window``, ``results``, ``.m``) for one
+    window instance. ``greta`` gets one entry per (window, slide)
+    signature; the Hamlet systems get one per engine group, and a
+    non-Kleene singleton runs on GRETA.
     """
     if system == "greta":
         sigs: dict[tuple, list[Query]] = {}
         for q in workload:
             sigs.setdefault((q.window, q.slide), []).append(q)
-        return [(w, s, partial(GretaSetEngine, qs)) for (w, s), qs in sigs.items()]
+        return [(w, s, GretaPlan(qs)) for (w, s), qs in sigs.items()]
     if system not in _MODES:
         raise ValueError(
             f"unknown system {system!r}: window executors exist for "
@@ -164,11 +180,11 @@ def window_executors(workload: Sequence[Query], system: str) -> list[tuple]:
     entries = []
     for queries, ketype, pane in _engine_groups(workload):
         if ketype is None:
-            new_engine = partial(GretaSetEngine, queries)
+            plan = GretaPlan(queries)
         else:
             mode = _MODES[system] if len(queries) > 1 else "nonshared"
-            new_engine = partial(HamletSetEngine, queries, ketype, mode=mode, pane=pane)
-        entries.append((queries[0].window, queries[0].slide, new_engine))
+            plan = HamletPlan(queries, ketype, mode=mode, pane=pane)
+        entries.append((queries[0].window, queries[0].slide, plan))
     return entries
 
 
@@ -192,10 +208,10 @@ def run_system(
     executors = window_executors(workload, system)
     events = sorted(events, key=lambda e: e.time)
     rr = RunResult(system=system, n_events=len(events))
-    for window, slide, new_engine in executors:
+    for window, slide, plan in executors:
         for start, evs in window_instances(events, window, slide):
             t0 = time.perf_counter()
-            eng = new_engine()
+            eng = plan.new_engine()
             for e in evs:
                 eng.on_event(e)
             eng.end_window()

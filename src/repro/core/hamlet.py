@@ -13,6 +13,11 @@ choose different sharer sets: the active graphlet is resolved
 (collapsed) and a new one opens with a fresh entry snapshot — the
 paper's consolidation snapshot ``z``.
 
+The set's static analysis (templates, channels, per-type tables) is a
+:class:`HamletPlan`, built once; each window instance's engine shares it
+and allocates only runtime state (totals, snapshots, the open graphlet,
+results).
+
 Correctness contract (enforced by tests): for every query the final
 aggregates equal GRETA's and the brute-force enumeration's, for any
 interleaving of sharing decisions.
@@ -59,8 +64,15 @@ class Metrics:
             )
 
 
-class HamletSetEngine:
-    """Algorithm 1 over one sharable set, one group, one window instance."""
+class HamletPlan:
+    """The static part of one sharable set's execution: the workload
+    analysis of §3.1 plus the lookup tables every window instance reads.
+
+    It holds the queries, their templates, the set's aggregate channels,
+    the per-type member lists and the optimizer's constant inputs. A plan
+    is built once per executor entry and never changed afterwards, so all
+    the :class:`HamletSetEngine` instances of an entry share one plan and
+    each holds only its own window's runtime state."""
 
     def __init__(
         self,
@@ -72,9 +84,9 @@ class HamletSetEngine:
     ):
         if mode not in ("dynamic", "static", "nonshared"):
             raise ValueError(mode)
-        self.qs = list(queries)
+        self.qs = tuple(queries)
         self.by_qid = {q.qid: q for q in self.qs}
-        self._qids = tuple(sorted(self.by_qid))
+        self.qids = tuple(sorted(self.by_qid))
         self.E = kleene_type
         self.mode = mode
         self.pane = pane
@@ -91,62 +103,47 @@ class HamletSetEngine:
                     chans.append(c)
         self.channels = tuple(chans)
         self.nch = len(chans)
-        self.S = SnapshotTable(self.nch)
-        self.S.set_one(
-            {q.qid: (1 if self.E in self.tpls[q.qid].start else 0) for q in self.qs}
-        )
-        self._any_kleene_start = any(
-            self.E in self.tpls[q.qid].start for q in self.qs
-        )
-        self.edge_pred_qids = frozenset(q.qid for q in self.qs if q.edge_pred)
-        # per-query state: value vectors [count, channels...] -------------
-        self._zero = tuple(zero(self.nch))
-        self.totals: dict[str, dict[str, list]] = {
-            q.qid: {t: zero(self.nch) for t in self.tpls[q.qid].types} for q in self.qs
-        }
-        # no key is added after this, so the memory estimate counts it once
-        self._totals_entries = sum(len(v) for v in self.totals.values())
-        self.cuts: dict[tuple, list] = {}  # (qid, ptype, blocker) -> totals copy
-        # an edge-predicate query's stored (event, values) records per Kleene
-        # type: its same-type predecessors are checked pairwise (Eq. 2)
-        self.krecs: dict[tuple, list] = {
-            (q.qid, t): [] for q in self.qs if q.edge_pred for t in self.tpls[q.qid].kleene
-        }
-        # the Eq. 3 sum over end events; under a trailing negation it is
-        # pending, and a later matched negative event voids it
-        self.res: dict[str, list] = {q.qid: zero(self.nch) for q in self.qs}
-        self.mm: dict[str, dict[str, list]] = {
-            q.qid: {
-                a.name: [math.inf, -math.inf]
-                for a in q.aggs
-                if a.fn in ("MIN", "MAX")
-            }
+        self.zero = tuple(zero(self.nch))
+        # the ONE snapshot's value per query: the start term of a Kleene event
+        self.one = {
+            q.qid: (1 if self.E in self.tpls[q.qid].start else 0, *self.zero[CNT + 1:])
             for q in self.qs
         }
-        # shared graphlet state --------------------------------------------
-        self.shared: Optional[dict] = None
-        self.burst: list[Event] = []
-        self._pane_idx: Optional[int] = None
-        self.n_so_far = 0
+        self.any_kleene_start = any(v[CNT] for v in self.one.values())
+        self.edge_pred_qids = frozenset(q.qid for q in self.qs if q.edge_pred)
+        # an edge-predicate query's stored records, one list per Kleene type
+        self.krec_keys = tuple(
+            (q.qid, t) for q in self.qs if q.edge_pred for t in self.tpls[q.qid].kleene
+        )
+        # the MIN/MAX aggregates of each query that has any
+        self.minmax_names = {
+            q.qid: names
+            for q in self.qs
+            if (names := tuple(a.name for a in q.aggs if a.fn in ("MIN", "MAX")))
+        }
+        # the per-type totals never gain a key, so the memory estimate counts
+        # them once
+        self.totals_entries = sum(len(t.types) for t in self.tpls.values())
         self.p_avg = sum(
             len(self.tpls[q.qid].pt.get(self.E, ())) for q in self.qs
         ) / max(len(self.qs), 1)
-        self.m = Metrics()
-        # fast paths: event-type -> member queries, and the queries whose
-        # Kleene-type match is non-trivial (predicates on E or edge preds) —
-        # for all others the burst match vector is constant-true and needs
-        # no per-event evaluation (workload-1 style fully-sharable queries)
-        self._type_members: dict[str, list[str]] = {}
+        # fast paths: event type -> member queries, and per type the members
+        # with a unary predicate on it; every other member matches every
+        # event of the type without a call to ``Query.matches``
+        members: dict[str, list[str]] = {}
+        with_pred: dict[str, set[str]] = {}
         for q in self.qs:
             for t in self.tpls[q.qid].types:
-                self._type_members.setdefault(t, []).append(q.qid)
-        self._kleene_pred_qids = frozenset(
-            q.qid
-            for q in self.qs
-            if q.where.get(self.E) or q.edge_pred is not None
-        )
+                members.setdefault(t, []).append(q.qid)
+                if q.where.get(t):
+                    with_pred.setdefault(t, set()).add(q.qid)
+        self.type_members = {t: tuple(qids) for t, qids in members.items()}
+        self.type_pred_qids = {t: frozenset(qids) for t, qids in with_pred.items()}
+        # the queries whose Kleene-type match varies (predicates on E or edge
+        # predicates); for all others the burst match vector is constant-true
+        # and needs no per-event evaluation (workload-1 style queries)
+        self.kleene_pred_qids = self.type_pred_qids.get(self.E, frozenset()) | self.edge_pred_qids
 
-    # ------------------------------------------------------------------
     def _validate_minmax(self) -> None:
         for q in self.qs:
             tpl = self.tpls[q.qid]
@@ -160,14 +157,65 @@ class HamletSetEngine:
                             "trailing negation/edge predicates (see DESIGN.md)"
                         )
 
+    def new_engine(self) -> "HamletSetEngine":
+        """A fresh engine for one window instance of this set: it shares
+        this plan and allocates only runtime state."""
+        eng = HamletSetEngine.__new__(HamletSetEngine)
+        eng._start(self)
+        return eng
+
+
+class HamletSetEngine:
+    """Algorithm 1 over one sharable set, one group, one window instance.
+
+    ``plan`` is the set's shared :class:`HamletPlan`; every other attribute
+    is this window instance's runtime state."""
+
+    def __init__(
+        self,
+        queries: Sequence[Query],
+        kleene_type: str,
+        *,
+        mode: str = "dynamic",
+        pane: float = 60.0,
+    ):
+        self._start(HamletPlan(queries, kleene_type, mode=mode, pane=pane))
+
+    def _start(self, plan: HamletPlan) -> None:
+        self.plan = plan
+        self.S = SnapshotTable(plan.nch)
+        self.S.set_one(plan.one)
+        # per-query state: value vectors [count, channels...] -------------
+        z = plan.zero
+        self.totals: dict[str, dict[str, list]] = {
+            qid: {t: [*z] for t in tpl.types} for qid, tpl in plan.tpls.items()
+        }
+        self.cuts: dict[tuple, list] = {}  # (qid, ptype, blocker) -> totals copy
+        # an edge-predicate query's stored (event, values) records per Kleene
+        # type: its same-type predecessors are checked pairwise (Eq. 2)
+        self.krecs: dict[tuple, list] = {key: [] for key in plan.krec_keys}
+        # the Eq. 3 sum over end events; under a trailing negation it is
+        # pending, and a later matched negative event voids it
+        self.res: dict[str, list] = {qid: [*z] for qid in plan.by_qid}
+        self.mm: dict[str, dict[str, list]] = {
+            qid: {name: [math.inf, -math.inf] for name in names}
+            for qid, names in plan.minmax_names.items()
+        }
+        # shared graphlet state --------------------------------------------
+        self.shared: Optional[dict] = None
+        self.burst: list[Event] = []
+        self._pane_idx: Optional[int] = None
+        self.n_so_far = 0
+        self.m = Metrics()
+
     # -- bookkeeping helpers -------------------------------------------
     def _pred_totals(self, qid: str, etype: str, skip: Optional[str] = None) -> list:
         """The sum of the per-type totals of ``etype``'s predecessor types
         for query ``qid`` (Eq. 2), each less its negation cut. ``skip`` is a
         predecessor type whose values come from elsewhere."""
-        vals = list(self._zero)
+        vals = list(self.plan.zero)
         totals = self.totals[qid]
-        for edge in self.tpls[qid].pt.get(etype, ()):
+        for edge in self.plan.tpls[qid].pt.get(etype, ()):
             if edge.ptype == skip:
                 continue
             self.m.ops += 1
@@ -179,7 +227,7 @@ class HamletSetEngine:
         return vals
 
     def _update_minmax(self, qid: str, e: Event) -> None:
-        q = self.by_qid[qid]
+        q = self.plan.by_qid[qid]
         for a in q.aggs:
             if a.fn in ("MIN", "MAX") and a.etype == e.etype:
                 v = e.attrs.get(a.attr, 0.0)
@@ -189,8 +237,9 @@ class HamletSetEngine:
 
     # -- event routing --------------------------------------------------
     def on_event(self, e: Event) -> None:
+        p = self.plan
         self.m.events += 1
-        pidx = int(e.time // self.pane)
+        pidx = int(e.time // p.pane)
         if self._pane_idx is None:
             self._pane_idx = pidx
         elif pidx != self._pane_idx:
@@ -198,27 +247,27 @@ class HamletSetEngine:
             # close the graphlet (Definition 6 closes on other-type matches)
             self._flush_burst()
             self._pane_idx = pidx
-        if e.etype == self.E:
+        if e.etype == p.E:
             self.burst.append(e)
             return
-        matched_by = [
-            qid
-            for qid in self._type_members.get(e.etype, ())
-            if self.by_qid[qid].matches(e)
-        ]
+        matched_by = p.type_members.get(e.etype, ())
+        pred = p.type_pred_qids.get(e.etype)
+        if pred:
+            matched_by = [
+                qid for qid in matched_by if qid not in pred or p.by_qid[qid].matches(e)
+            ]
         if not matched_by:
             return
         self._flush_burst()
         self._close_graphlet()
         for qid in matched_by:
-            tpl = self.tpls[qid]
-            if e.etype in tpl.neg_types:
+            if e.etype in p.tpls[qid].neg_types:
                 self._on_negative(qid, e)
             else:
                 self._store(qid, e, self._value(qid, e))
 
     def _on_negative(self, qid: str, e: Event) -> None:
-        tpl = self.tpls[qid]
+        tpl = self.plan.tpls[qid]
         for etype, edges in tpl.pt.items():
             for edge in edges:
                 if edge.blocker == e.etype:
@@ -226,7 +275,7 @@ class HamletSetEngine:
                         self.totals[qid][edge.ptype]
                     )
         if tpl.trailing_neg == e.etype:
-            self.res[qid] = list(self._zero)
+            self.res[qid] = list(self.plan.zero)
 
     def _value(self, qid: str, e: Event) -> list:
         """Eq. 2: ``[count, channel values...]`` of matched event ``e`` for
@@ -238,6 +287,7 @@ class HamletSetEngine:
         predecessors come instead from its stored records, checked pairwise.
         A sharer of the open graphlet resolves the graphlet's entry snapshot
         plus its events so far."""
+        p = self.plan
         recs = self.krecs.get((qid, e.etype))
         sh = self.shared
         if recs is None and sh is not None and qid in sh["sharers"]:
@@ -252,11 +302,11 @@ class HamletSetEngine:
             vals = self._pred_totals(qid, e.etype, None if recs is None else e.etype)
             for pev, pvals in recs or ():
                 self.m.ops += 1
-                if self.by_qid[qid].edge_pred.ok(pev, e):
+                if p.by_qid[qid].edge_pred.ok(pev, e):
                     add_into(vals, pvals)
-        if e.etype in self.tpls[qid].start:
+        if e.etype in p.tpls[qid].start:
             vals[CNT] += 1
-        for i, c in enumerate(self.channels, CNT + 1):
+        for i, c in enumerate(p.channels, CNT + 1):
             if c.etype == e.etype:
                 vals[i] += vals[CNT] * (1.0 if c.attr is None else e.attrs.get(c.attr, 0.0))
         return vals
@@ -269,7 +319,7 @@ class HamletSetEngine:
             recs.append((e, tuple(vals)))
         add_into(self.totals[qid][e.etype], vals)
         self.m.stored_events += 1
-        if e.etype in self.tpls[qid].end:
+        if e.etype in self.plan.tpls[qid].end:
             add_into(self.res[qid], vals)
             if vals[CNT] > 0:
                 self._update_minmax(qid, e)
@@ -278,43 +328,50 @@ class HamletSetEngine:
     def _flush_burst(self) -> None:
         if not self.burst:
             return
+        p = self.plan
         burst, self.burst = self.burst, []
         stats = BurstStats(
             b=len(burst),
-            qids=self._qids,
+            qids=p.qids,
             match_vectors={
-                qid: tuple(self.by_qid[qid].matches(ev) for ev in burst)
-                for qid in self._kleene_pred_qids
+                qid: tuple(p.by_qid[qid].matches(ev) for ev in burst)
+                for qid in p.kleene_pred_qids
             },
-            edge_pred_qids=self.edge_pred_qids,
+            edge_pred_qids=p.edge_pred_qids,
         )
         cur = self.shared["sharers"] if self.shared else frozenset()
-        plan = choose_plan(
+        decision = choose_plan(
             stats,
-            mode=self.mode,
+            mode=p.mode,
             n_so_far=self.n_so_far,
             g_active=self.shared["g"] if self.shared else 0,
             s_p_live=self._live_snapshots(),
-            p_avg=self.p_avg,
+            p_avg=p.p_avg,
         )
         self.m.bursts += 1
         self.m.decisions += 1
-        self.m.plans_considered += plan.plans_considered
-        if plan.shared:
+        self.m.plans_considered += decision.plans_considered
+        if decision.shared:
             self.m.shared_bursts += 1
-        if plan.shared != cur:
+        if decision.shared != cur:
             if cur:
                 self.m.splits += 1  # resolve current sharers (split/collapse)
             self._close_graphlet()
-            if len(plan.shared) >= 2:
+            if len(decision.shared) >= 2:
                 self.m.merges += 1 if cur else 0
-                self._open_shared(plan.shared)
+                self._open_shared(decision.shared)
+        # the burst's non-sharers, each on its own totals (Eq. 2)
+        shared = self.shared
+        others = [
+            q.qid for q in p.qs if shared is None or q.qid not in shared["sharers"]
+        ]
+        pred = p.type_pred_qids.get(p.E, frozenset())
         for ev in burst:
-            if self.shared is not None:
+            if shared is not None:
                 self._process_shared_event(ev)
-            for q in self.qs:
-                if (self.shared is None or q.qid not in self.shared["sharers"]) and q.matches(ev):
-                    self._store(q.qid, ev, self._value(q.qid, ev))
+            for qid in others:
+                if qid not in pred or p.by_qid[qid].matches(ev):
+                    self._store(qid, ev, self._value(qid, ev))
         self.n_so_far += len(burst)
         self._note_memory()
 
@@ -324,21 +381,21 @@ class HamletSetEngine:
         return len({sid for run in self.shared["run"] for sid, _ in run})
 
     def _open_shared(self, sharers: frozenset) -> None:
+        p = self.plan
         per_query: dict[str, tuple] = {}
         for qid in sharers:
-            per_query[qid] = tuple(self._pred_totals(qid, self.E))
+            per_query[qid] = tuple(self._pred_totals(qid, p.E))
         sid = self.S.create(per_query)
         self.m.snapshots_created += 1
         self.shared = {
             "sharers": sharers,
             "entry": sid,
             # the events so far, one coefficient vector per value index
-            "run": [{} for _ in range(1 + self.nch)],
+            "run": [{} for _ in range(1 + p.nch)],
             "g": 0,
             # MIN/MAX participation gate per query (entry count > 0 or start)
             "gate": {
-                qid: per_query[qid][CNT] > 0
-                or self.E in self.tpls[qid].start
+                qid: per_query[qid][CNT] > 0 or p.E in p.tpls[qid].start
                 for qid in sharers
             },
         }
@@ -347,25 +404,27 @@ class HamletSetEngine:
         sh = self.shared
         if sh is None:
             return
+        p = self.plan
         for qid in sh["sharers"]:
             vals = [self.S.resolve(run, qid) for run in sh["run"]]
             self.m.ops += len(sh["run"][CNT])
-            add_into(self.totals[qid][self.E], vals)
-            if self.E in self.tpls[qid].end:
+            add_into(self.totals[qid][p.E], vals)
+            if p.E in p.tpls[qid].end:
                 add_into(self.res[qid], vals)
         self.shared = None
         self.S.gc()
 
     def _process_shared_event(self, e: Event) -> None:
+        p = self.plan
         sh = self.shared
         sharers = sh["sharers"]
-        if sharers & self._kleene_pred_qids:
-            M = frozenset(qid for qid in sharers if self.by_qid[qid].matches(e))
+        if sharers & p.kleene_pred_qids:
+            M = frozenset(qid for qid in sharers if p.by_qid[qid].matches(e))
         else:
             M = sharers
         if not M:
             return
-        uniform = M == sharers and not (sharers & self.edge_pred_qids)
+        uniform = M == sharers and not (sharers & p.edge_pred_qids)
         run = sh["run"]
         if uniform:
             # Eq. 2 over coefficient vectors: the entry snapshot, the events
@@ -373,13 +432,13 @@ class HamletSetEngine:
             entry = sh["entry"]
             cnt: Vec = {(entry, CNT): 1}
             vadd(cnt, run[CNT])
-            if self._any_kleene_start:
+            if p.any_kleene_start:
                 cnt[(ONE_ID, CNT)] = cnt.get((ONE_ID, CNT), 0) + 1
             vecs = [cnt]
-            for i, c in enumerate(self.channels, CNT + 1):
+            for i, c in enumerate(p.channels, CNT + 1):
                 v: Vec = {(entry, i): 1.0}
                 vadd(v, run[i])
-                if c.etype == self.E:
+                if c.etype == p.E:
                     vadd(v, cnt, 1.0 if c.attr is None else e.attrs.get(c.attr, 0.0))
                 vecs.append(v)
             self.m.coeff_ops += sum(len(v) for v in vecs)
@@ -387,10 +446,10 @@ class HamletSetEngine:
             per_query: dict[str, tuple] = {}
             for qid in sharers:
                 if qid not in M:
-                    per_query[qid] = self._zero
+                    per_query[qid] = p.zero
                     continue
                 per_query[qid] = tuple(self._value(qid, e))
-                recs = self.krecs.get((qid, self.E))
+                recs = self.krecs.get((qid, p.E))
                 if recs is not None:
                     recs.append((e, per_query[qid]))
             y = self.S.create(per_query)
@@ -401,7 +460,7 @@ class HamletSetEngine:
         sh["g"] += 1
         self.m.stored_events += 1
         for qid in M:
-            if sh["gate"][qid] and self.mm[qid]:
+            if sh["gate"][qid] and qid in self.mm:
                 self._update_minmax(qid, e)
 
     # -- window close ----------------------------------------------------
@@ -419,17 +478,17 @@ class HamletSetEngine:
         krec = sum(len(v) for v in self.krecs.values())
         mem = (
             self.m.stored_events * 32
-            + snap_entries * 16 * (1 + self.nch)
+            + snap_entries * 16 * (1 + self.plan.nch)
             + coeffs * 16
             + krec * 32
-            + self._totals_entries * 24
+            + self.plan.totals_entries * 24
         )
         self.m.peak_mem_bytes = max(self.m.peak_mem_bytes, mem)
 
     def results(self) -> dict[str, dict[str, float]]:
         """Final aggregates per member query for this window instance."""
         out: dict[str, dict[str, float]] = {}
-        for q in self.qs:
+        for q in self.plan.qs:
             qid = q.qid
             extremes = {}
             for a in q.aggs:
@@ -437,11 +496,11 @@ class HamletSetEngine:
                     lo, hi = self.mm[qid][a.name]
                     v = lo if a.fn == "MIN" else hi
                     extremes[a.name] = v if math.isfinite(v) else math.nan
-            out[qid] = aggregates(q, self.channels, self.res[qid], extremes)
+            out[qid] = aggregates(q, self.plan.channels, self.res[qid], extremes)
         return out
 
     def exact_counts(self) -> dict[str, int]:
-        return {q.qid: self.res[q.qid][CNT] for q in self.qs}
+        return {q.qid: self.res[q.qid][CNT] for q in self.plan.qs}
 
 
 def run_hamlet_set(

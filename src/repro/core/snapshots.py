@@ -50,10 +50,11 @@ class SnapshotTable:
         self.vals: dict[int, dict[str, tuple]] = {}
         self._next_id = ONE_ID + 1
 
-    def set_one(self, per_query_start: dict[str, int]) -> None:
-        """Install the constant ONE snapshot: per-query start contribution."""
-        zeros = (0.0,) * self.n_channels
-        self.vals[ONE_ID] = {qid: (s, *zeros) for qid, s in per_query_start.items()}
+    def set_one(self, per_query: dict[str, tuple]) -> None:
+        """Install the constant ONE snapshot: per query, the value vector
+        ``(start contribution, 0.0, ..., 0.0)``. The table never changes
+        it, so one mapping may serve many tables."""
+        self.vals[ONE_ID] = per_query
 
     def create(self, per_query: dict[str, tuple]) -> int:
         """New snapshot with the given per-query value vectors."""

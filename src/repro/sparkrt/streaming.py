@@ -5,7 +5,8 @@ aggregation as a Structured Streaming stateful operator with dynamic
 sharing plan selection per micro-batch*. A file source delivers one
 **pane** per micro-batch (``maxFilesPerTrigger=1``); the stream is keyed
 by the group attribute and processed with ``applyInPandasWithState``.
-The group state carries the pickled per-window Hamlet engines; inside
+The group state carries the per-window Hamlet engines' runtime state
+(their shared executor plans stay in the function's closure); inside
 every micro-batch the dynamic optimizer re-decides the sharing plan for
 each burst (``choose_plan``), so plans adapt micro-batch by micro-batch
 exactly as the paper's optimizer adapts per burst. Completed windows
@@ -21,6 +22,7 @@ the life of the stream (DESIGN.md §3).
 """
 from __future__ import annotations
 
+import io
 import math
 import os
 import pickle
@@ -57,26 +59,63 @@ EVENT_SCHEMA = StructType(
 STATE_SCHEMA = StructType([StructField("blob", BinaryType())])
 
 
+def _static_objects(plans) -> dict:
+    """Token -> object for each executor plan and for the queries and
+    templates the plans hold: everything an engine references that is the
+    same for every key and every window."""
+    objs: dict[tuple, object] = {}
+    for i, plan in enumerate(plans):
+        objs[("plan", i)] = plan
+        for q in plan.qs:
+            objs[("query", q.qid)] = q
+            objs[("template", q.qid)] = plan.tpls[q.qid]
+    return objs
+
+
+def _dump_state(st: dict, static: dict) -> bytes:
+    """Pickle ``st`` with each static object replaced by its token."""
+    # ids are only valid in this process, so the lookup is made per call
+    ids = {id(obj): tok for tok, obj in static.items()}
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf)
+    pickler.persistent_id = lambda obj: ids.get(id(obj))
+    pickler.dump(st)
+    return buf.getvalue()
+
+
+def _load_state(blob: bytes, static: dict) -> dict:
+    """Unpickle a ``_dump_state`` blob, re-attaching ``static``'s objects."""
+    unpickler = pickle.Unpickler(io.BytesIO(blob))
+    unpickler.persistent_load = static.__getitem__
+    return unpickler.load()
+
+
 def make_stateful_func(workload: Sequence[Query], system: str, window: float):
     """Build the applyInPandasWithState function.
 
     Tumbling windows only (all queries share window==slide==``window``).
-    The group state carries *live* pickled engines, so graphlets span
-    micro-batches and the dynamic optimizer re-selects its sharing plan
-    for every burst of every micro-batch. Windows whose end time has
-    passed are finalized and their aggregates emitted.
+    The group state carries *live* engines, so graphlets span micro-batches
+    and the dynamic optimizer re-selects its sharing plan for every burst
+    of every micro-batch. Windows whose end time has passed are finalized
+    and their aggregates emitted.
+
+    The state blob holds the engines' runtime state only: each executor
+    plan, query and template an engine references is written as a small
+    token and re-attached, on reading, to this closure's own copy.
     """
     workload = list(workload)
     for q in workload:
         if q.window != window or q.slide != window:
             raise ValueError("streaming runtime supports one tumbling window size")
-    # the factories stay in this closure: the pickled state holds engines only
-    new_engines = [new for _, _, new in window_executors(workload, system)]
+    plans = [plan for _, _, plan in window_executors(workload, system)]
+    # Keyed by token, not id(): the table travels inside the closure, which
+    # Spark unpickles again in every Python worker.
+    static = _static_objects(plans)
 
     def func(key, pdf_iter, state: GroupState):
         gkey = int(key[0])
         if state.exists:
-            st = pickle.loads(state.get[0])
+            st = _load_state(state.get[0], static)
         else:
             st = {"engines": {}, "done": set(), "max_t": -math.inf}
         events: list[Event] = []
@@ -89,7 +128,7 @@ def make_stateful_func(workload: Sequence[Query], system: str, window: float):
             if wid in st["done"]:
                 continue  # late event past emission — dropped
             if wid not in st["engines"]:
-                st["engines"][wid] = [new() for new in new_engines]
+                st["engines"][wid] = [plan.new_engine() for plan in plans]
             for eng in st["engines"][wid]:
                 eng.on_event(e)
         results = {}
@@ -100,7 +139,7 @@ def make_stateful_func(workload: Sequence[Query], system: str, window: float):
                     eng.end_window()
                     results.update({(qid, ws): aggs for qid, aggs in eng.results().items()})
                 st["done"].add(wid)
-        state.update((pickle.dumps(st),))
+        state.update((_dump_state(st, static),))
         yield result_frame(gkey, results)
 
     return func

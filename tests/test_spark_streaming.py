@@ -2,10 +2,12 @@
 live Hamlet engine state across batches, dynamic sharing per burst —
 output must equal the batch engine's."""
 import json
+import pickletools
 import time
 
 import pandas as pd
 import pytest
+from pyspark import cloudpickle
 from pyspark.sql.streaming import DataStreamWriter, StreamingQueryListener
 
 from repro.core.brute import brute_results
@@ -169,11 +171,26 @@ class _StubGroupState:
         self.get = row
 
 
-@pytest.mark.parametrize("system", ["hamlet", "hamlet-static", "hamlet-nonshared"])
-def test_stateful_func_equals_run_system(stream_pdf, workload, system):
+def _non_kleene(qid="nk"):
+    return Query(qid=qid, elems=seq(Atom("R"), Atom("T")), window=WINDOW, slide=WINDOW)
+
+
+def _fresh_copy(func):
+    """The function as a Spark Python worker gets it: a cloudpickle copy."""
+    return cloudpickle.loads(cloudpickle.dumps(func))
+
+
+@pytest.mark.parametrize(
+    "system, cloudpickled",
+    [pytest.param(s, False, id=s) for s in ("hamlet", "hamlet-static", "hamlet-nonshared")]
+    + [pytest.param("hamlet", True, id="hamlet-cloudpickled")],
+)
+def test_stateful_func_equals_run_system(stream_pdf, workload, system, cloudpickled):
     """Spark-free: one call per pane, the pickled state carried between
-    calls, then the flush row; rows must equal the in-process engine's."""
-    wl = workload + [Query(qid="nk", elems=seq(Atom("R"), Atom("T")), window=WINDOW, slide=WINDOW)]
+    calls, then the flush row; rows must equal the in-process engine's.
+    ``cloudpickled``: every pane goes to a fresh cloudpickle copy of the
+    function, so each state blob is read by another copy than wrote it."""
+    wl = workload + [_non_kleene()]
     func = make_stateful_func(wl, system, WINDOW)
     t_flush = (stream_pdf["time"].max() // WINDOW + 2) * WINDOW
     got, want = [], []
@@ -182,7 +199,8 @@ def test_stateful_func_equals_run_system(stream_pdf, workload, system):
         panes = [pane for _, pane in grp.groupby(grp["time"] // PANE)]
         panes.append(grp.iloc[[-1]].assign(time=t_flush, etype=FLUSH_TYPE))
         for pane in panes:
-            got.extend(func((gkey,), iter([pane]), state))
+            call = _fresh_copy(func) if cloudpickled else func
+            got.extend(call((gkey,), iter([pane]), state))
         rr = run_system(events_from_pandas(grp, ATTR_COLS), wl, system)
         want += [
             (gkey, ws, qid, agg, val)
@@ -194,6 +212,28 @@ def test_stateful_func_equals_run_system(stream_pdf, workload, system):
     want = pd.DataFrame(want, columns=OUT_COLS).sort_values(key).reset_index(drop=True)
     assert got["qid"].eq("nk").any() and len(panes) >= 4
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+@pytest.mark.parametrize("system", ["greta", "hamlet"])
+def test_state_blob_holds_no_query_definitions(stream_pdf, system):
+    """The group state holds runtime aggregates only: the executor plans,
+    queries and templates are tokens that each copy of the function maps
+    to its own objects. Checked on a blob written by a cloudpickled copy
+    while windows are open, for 50 shared queries plus a non-Kleene one."""
+    wl = workload1(50, kleene_type="T", window=WINDOW, slide=WINDOW) + [_non_kleene()]
+    func = make_stateful_func(wl, system, WINDOW)
+    grp = stream_pdf[stream_pdf["gkey"] == stream_pdf["gkey"].iloc[0]]
+    state = _StubGroupState()
+    for _, pane in grp.groupby(grp["time"] // PANE):
+        list(_fresh_copy(func)((0,), iter([pane]), state))
+    names = set()
+    for op, arg, _ in pickletools.genops(state.get[0]):
+        if op.name in ("GLOBAL", "INST"):
+            names.add(arg.split(" ")[0])
+        elif isinstance(arg, str):  # STACK_GLOBAL's module is pushed as a string
+            names.add(arg)
+    assert "repro.core.greta" in names  # open windows' engines are in the blob
+    assert not names & {"repro.core.queries", "repro.core.template"}
 
 
 @pytest.mark.parametrize("system", ["greta", "hamlet", "hamlet-static", "hamlet-nonshared"])
