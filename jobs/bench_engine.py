@@ -1,0 +1,109 @@
+#!/usr/bin/env python
+"""In-process engine benchmark: Hamlet's wall time and counters on fixed inputs.
+
+    python3 jobs/bench_engine.py [--repeat N] [--label NAME] [--out FILE]
+
+Runs ``run_system`` over every group of two fixed inputs, for the three
+Hamlet systems, ``--repeat`` times, and records per (input, system) the
+best wall time of a whole pass (all groups, in milliseconds) next to the
+engine counters ``ops``, ``coeff_ops``, ``snapshots_created`` and
+``peak_mem_bytes``, which repeat exactly from pass to pass. No Spark.
+
+The inputs are perfbench's ``nyc-shared`` input (T11 regime: every burst
+shared, no query diverges) and ``stock-diverse`` input (T12 regime:
+predicates, edge predicates and several sharable sets), both at seed 1;
+they are the inputs of the same name in ``jobs/equivalence.py``.
+
+The results go into ``FILE`` (default ``BENCH_engine.json``) under
+``--label``, next to the labels already there. A label that is already
+there keeps the better time of its runs and adds up their passes, so
+alternating invocations make one best-of-N across all of them; its
+counters must come out the same every time. To compare two checkouts on
+one machine, alternate this script between them, with ``PYTHONPATH`` at
+that checkout's ``src``, one label per checkout and the same ``--out``.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+
+sys.path.insert(0, os.path.dirname(__file__))
+from equivalence import _inputs  # noqa: E402
+
+CONFIGS = ("nyc-shared", "stock-diverse")
+SYSTEMS = ("hamlet", "hamlet-static", "hamlet-nonshared")
+COUNTERS = ("ops", "coeff_ops", "snapshots_created", "peak_mem_bytes")
+
+
+def bench(repeat: int) -> dict:
+    """``{config: {system: {"best_ms", counters...}}}`` over ``repeat`` passes."""
+    from repro.core.engine import RunResult, run_system
+    from repro.streams import group_events
+
+    inputs = _inputs()
+    out: dict[str, dict] = {}
+    for name in CONFIGS:
+        make_stream, make_workload, _ = inputs[name]
+        groups = group_events(make_stream())
+        workload = make_workload()
+        out[name] = {"events": sum(len(evs) for evs in groups.values())}
+        for system in SYSTEMS:
+            best = float("inf")
+            for _ in range(repeat):
+                total = RunResult(system=system)
+                t0 = time.perf_counter()
+                for evs in groups.values():
+                    total.merge(run_system(evs, workload, system))
+                best = min(best, time.perf_counter() - t0)
+            out[name][system] = {
+                "best_ms": round(best * 1e3, 2),
+                **{c: getattr(total.metrics, c) for c in COUNTERS},
+            }
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--repeat", type=int, default=20, help="passes per (input, system)")
+    p.add_argument("--label", default="current", help="key of this run in the file")
+    p.add_argument("--out", default="BENCH_engine.json", help="JSON file to update")
+    args = p.parse_args(argv)
+    doc = {"runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out) as f:
+            doc = json.load(f)
+    run = {
+        "repeat": args.repeat,
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "results": bench(args.repeat),
+    }
+    prev = doc["runs"].get(args.label)
+    if prev is not None:
+        run["repeat"] += prev["repeat"]
+        for name, per_sys in run["results"].items():
+            for system in SYSTEMS:
+                new, old = per_sys[system], prev["results"][name][system]
+                if any(new[c] != old[c] for c in COUNTERS):
+                    raise SystemExit(f"{args.label}: {name} {system} counters differ from the file's")
+                new["best_ms"] = min(new["best_ms"], old["best_ms"])
+    doc["runs"][args.label] = run
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
+    for name, per_sys in doc["runs"][args.label]["results"].items():
+        for system in SYSTEMS:
+            r = per_sys[system]
+            print(
+                f"{name:14s} {system:17s} {r['best_ms']:9.2f} ms  "
+                + "  ".join(f"{c}={r[c]}" for c in COUNTERS)
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,9 +23,9 @@ def main() -> None:
     vals = {}
     create = eng.S.create
 
-    def record(per_query):
-        sid = create(per_query)
-        vals[sid] = per_query
+    def record(cols):
+        sid = create(cols)
+        vals[sid] = eng.plan.by_query(cols)
         return sid
 
     eng.S.create = record

@@ -18,6 +18,19 @@ The set's static analysis (templates, channels, per-type tables) is a
 and allocates only runtime state (totals, snapshots, the open graphlet,
 results).
 
+The runtime state is columnar. Every per-query quantity (per-type totals,
+negation cuts, Eq. 3 results, snapshot values) holds one *column* per
+value index ``c``, with query ``i``'s entry at position ``i``
+(``HamletPlan.pos``). Opening a shared graphlet computes its entry
+snapshot for all sharers in one pass per predecessor type over the
+positions that have it; closing it resolves each coefficient vector for
+all sharers at once (``SnapshotTable.resolve``) and adds the result to
+``E``'s totals and to the results of the positions whose templates end at
+``E``. Event-level snapshots (a burst event the sharers do not all match)
+resolve the graphlet once for all sharers too. Per-event work outside a
+shared graphlet stays per query: it reads and writes the same columns at
+the query's position.
+
 Correctness contract (enforced by tests): for every query the final
 aggregates equal GRETA's and the brute-force enumeration's, for any
 interleaving of sharing decisions.
@@ -69,7 +82,9 @@ class HamletPlan:
     analysis of §3.1 plus the lookup tables every window instance reads.
 
     It holds the queries, their templates, the set's aggregate channels,
-    the per-type member lists and the optimizer's constant inputs. A plan
+    each query's position in the runtime columns, the ONE snapshot's
+    columns, the per-type member lists, the position tables of the graphlet
+    kernels and the optimizer's constant inputs. A plan
     is built once per executor entry and never changed afterwards, so all
     the :class:`HamletSetEngine` instances of an entry share one plan and
     each holds only its own window's runtime state."""
@@ -86,6 +101,9 @@ class HamletPlan:
             raise ValueError(mode)
         self.qs = tuple(queries)
         self.by_qid = {q.qid: q for q in self.qs}
+        # each query's position in every runtime column
+        self.pos = {q.qid: i for i, q in enumerate(self.qs)}
+        self.k = len(self.qs)
         self.qids = tuple(sorted(self.by_qid))
         self.E = kleene_type
         self.mode = mode
@@ -104,12 +122,30 @@ class HamletPlan:
         self.channels = tuple(chans)
         self.nch = len(chans)
         self.zero = tuple(zero(self.nch))
-        # the ONE snapshot's value per query: the start term of a Kleene event
-        self.one = {
-            q.qid: (1 if self.E in self.tpls[q.qid].start else 0, *self.zero[CNT + 1:])
-            for q in self.qs
-        }
-        self.any_kleene_start = any(v[CNT] for v in self.one.values())
+        # the ONE snapshot's columns: the start term of a Kleene event. They
+        # are the plan's, shared by every engine and never in its runtime
+        # state
+        self.one = (
+            tuple(1 if self.E in self.tpls[q.qid].start else 0 for q in self.qs),
+            *((z,) * self.k for z in self.zero[CNT + 1:]),
+        )
+        self.any_kleene_start = any(self.one[CNT])
+        self.types = frozenset().union(*(t.types for t in self.tpls.values()))
+        # a graphlet's entry snapshot is the Eq. 2 predecessor sum of E for
+        # every sharer: per predecessor edge (type and blocker), the
+        # positions whose template has it, in each template's own edge order
+        edges: dict[tuple, list[int]] = {}
+        for i, q in enumerate(self.qs):
+            for j, edge in enumerate(self.tpls[q.qid].pt.get(self.E, ())):
+                edges.setdefault((j, edge.ptype, edge.blocker), []).append(i)
+        self.e_preds = tuple(
+            (ptype, blocker, tuple(idx))
+            for (_, ptype, blocker), idx in sorted(edges.items(), key=lambda kv: kv[0][0])
+        )
+        # the positions whose templates end at E (a closed graphlet's results)
+        self.e_end = tuple(
+            i for i, q in enumerate(self.qs) if self.E in self.tpls[q.qid].end
+        )
         self.edge_pred_qids = frozenset(q.qid for q in self.qs if q.edge_pred)
         # an edge-predicate query's stored records, one list per Kleene type
         self.krec_keys = tuple(
@@ -157,6 +193,14 @@ class HamletPlan:
                             "trailing negation/edge predicates (see DESIGN.md)"
                         )
 
+    def by_query(self, cols: Sequence[Sequence]) -> dict[str, tuple]:
+        """Columns (one per value index) as each query's value vector."""
+        return {qid: tuple(col[i] for col in cols) for qid, i in self.pos.items()}
+
+    def zero_columns(self) -> list[list]:
+        """A fresh zero value, one column of ``k`` entries per value index."""
+        return [[z] * self.k for z in self.zero]
+
     def new_engine(self) -> "HamletSetEngine":
         """A fresh engine for one window instance of this set: it shares
         this plan and allocates only runtime state."""
@@ -183,20 +227,20 @@ class HamletSetEngine:
 
     def _start(self, plan: HamletPlan) -> None:
         self.plan = plan
-        self.S = SnapshotTable(plan.nch)
-        self.S.set_one(plan.one)
-        # per-query state: value vectors [count, channels...] -------------
-        z = plan.zero
-        self.totals: dict[str, dict[str, list]] = {
-            qid: {t: [*z] for t in tpl.types} for qid, tpl in plan.tpls.items()
-        }
-        self.cuts: dict[tuple, list] = {}  # (qid, ptype, blocker) -> totals copy
+        self.S = SnapshotTable()
+        # per-query state, columnar: one column per value index [count,
+        # channels...], the query at position plan.pos[qid] -----------------
+        self.totals: dict[str, list[list]] = {t: plan.zero_columns() for t in plan.types}
+        # (ptype, blocker) -> each query's copy of its ptype totals at its
+        # last matched blocker (zero for a query that has seen none)
+        self.cuts: dict[tuple, list[list]] = {}
         # an edge-predicate query's stored (event, values) records per Kleene
         # type: its same-type predecessors are checked pairwise (Eq. 2)
         self.krecs: dict[tuple, list] = {key: [] for key in plan.krec_keys}
+        self.n_krecs = 0
         # the Eq. 3 sum over end events; under a trailing negation it is
         # pending, and a later matched negative event voids it
-        self.res: dict[str, list] = {qid: [*z] for qid in plan.by_qid}
+        self.res: list[list] = plan.zero_columns()
         self.mm: dict[str, dict[str, list]] = {
             qid: {name: [math.inf, -math.inf] for name in names}
             for qid, names in plan.minmax_names.items()
@@ -213,17 +257,23 @@ class HamletSetEngine:
         """The sum of the per-type totals of ``etype``'s predecessor types
         for query ``qid`` (Eq. 2), each less its negation cut. ``skip`` is a
         predecessor type whose values come from elsewhere."""
-        vals = list(self.plan.zero)
-        totals = self.totals[qid]
-        for edge in self.plan.tpls[qid].pt.get(etype, ()):
+        p = self.plan
+        i = p.pos[qid]
+        vals = list(p.zero)
+        for edge in p.tpls[qid].pt.get(etype, ()):
             if edge.ptype == skip:
                 continue
             self.m.ops += 1
-            tot = totals[edge.ptype]
+            tot = self.totals[edge.ptype]
             cut = None
             if edge.blocker is not None:
-                cut = self.cuts.get((qid, edge.ptype, edge.blocker))
-            add_into(vals, tot if cut is None else [a - b for a, b in zip(tot, cut)])
+                cut = self.cuts.get((edge.ptype, edge.blocker))
+            if cut is None:
+                for c, col in enumerate(tot):
+                    vals[c] += col[i]
+            else:
+                for c, (col, cc) in enumerate(zip(tot, cut)):
+                    vals[c] += col[i] - cc[i]
         return vals
 
     def _update_minmax(self, qid: str, e: Event) -> None:
@@ -267,17 +317,22 @@ class HamletSetEngine:
                 self._store(qid, e, self._value(qid, e))
 
     def _on_negative(self, qid: str, e: Event) -> None:
-        tpl = self.plan.tpls[qid]
+        p = self.plan
+        i = p.pos[qid]
+        tpl = p.tpls[qid]
         for etype, edges in tpl.pt.items():
             for edge in edges:
                 if edge.blocker == e.etype:
-                    self.cuts[(qid, edge.ptype, e.etype)] = list(
-                        self.totals[qid][edge.ptype]
-                    )
+                    key = (edge.ptype, e.etype)
+                    if key not in self.cuts:
+                        self.cuts[key] = p.zero_columns()
+                    for cc, col in zip(self.cuts[key], self.totals[edge.ptype]):
+                        cc[i] = col[i]
         if tpl.trailing_neg == e.etype:
-            self.res[qid] = list(self.plan.zero)
+            for col, z in zip(self.res, p.zero):
+                col[i] = z
 
-    def _value(self, qid: str, e: Event) -> list:
+    def _value(self, qid: str, e: Event, vals: Optional[list] = None) -> list:
         """Eq. 2: ``[count, channel values...]`` of matched event ``e`` for
         query ``qid``: the start term, plus the values of ``e``'s
         predecessors, plus ``e``'s own channel terms ``attr(e)·count``.
@@ -285,20 +340,11 @@ class HamletSetEngine:
         The predecessors' values come from the per-type totals, less the
         negation cuts. An edge-predicate query's same-type Kleene
         predecessors come instead from its stored records, checked pairwise.
-        A sharer of the open graphlet resolves the graphlet's entry snapshot
-        plus its events so far."""
+        A sharer of the open graphlet passes them in ``vals``: the
+        graphlet's entry snapshot plus its events so far."""
         p = self.plan
-        recs = self.krecs.get((qid, e.etype))
-        sh = self.shared
-        if recs is None and sh is not None and qid in sh["sharers"]:
-            vals = []
-            for c, run in enumerate(sh["run"]):
-                pv: Vec = {(sh["entry"], c): 1 if c == CNT else 1.0}
-                vadd(pv, run)
-                vals.append(self.S.resolve(pv, qid))
-                if c == CNT:
-                    self.m.ops += len(pv)
-        else:
+        if vals is None:
+            recs = self.krecs.get((qid, e.etype))
             vals = self._pred_totals(qid, e.etype, None if recs is None else e.etype)
             for pev, pvals in recs or ():
                 self.m.ops += 1
@@ -314,13 +360,17 @@ class HamletSetEngine:
     def _store(self, qid: str, e: Event, vals: list) -> None:
         """Keep the Eq. 2 value of an event outside a shared graphlet: in its
         type's total and stored records, the result (end types) and MIN/MAX."""
+        i = self.plan.pos[qid]
         recs = self.krecs.get((qid, e.etype))
         if recs is not None:
             recs.append((e, tuple(vals)))
-        add_into(self.totals[qid][e.etype], vals)
+            self.n_krecs += 1
+        for col, v in zip(self.totals[e.etype], vals):
+            col[i] += v
         self.m.stored_events += 1
         if e.etype in self.plan.tpls[qid].end:
-            add_into(self.res[qid], vals)
+            for col, v in zip(self.res, vals):
+                col[i] += v
             if vals[CNT] > 0:
                 self._update_minmax(qid, e)
 
@@ -345,7 +395,9 @@ class HamletSetEngine:
             mode=p.mode,
             n_so_far=self.n_so_far,
             g_active=self.shared["g"] if self.shared else 0,
-            s_p_live=self._live_snapshots(),
+            # the snapshots the run references: its count vector has one
+            # key per snapshot, and the channel vectors reference no others
+            s_p_live=len(self.shared["run"][CNT]) if self.shared else 0,
             p_avg=p.p_avg,
         )
         self.m.bursts += 1
@@ -375,42 +427,74 @@ class HamletSetEngine:
         self.n_so_far += len(burst)
         self._note_memory()
 
-    def _live_snapshots(self) -> int:
-        if self.shared is None:
-            return 0
-        return len({sid for run in self.shared["run"] for sid, _ in run})
-
     def _open_shared(self, sharers: frozenset) -> None:
+        """Open a shared graphlet: its entry snapshot holds each sharer's
+        Eq. 2 predecessor sum for ``E``, one pass per predecessor edge over
+        the sharers' positions."""
         p = self.plan
-        per_query: dict[str, tuple] = {}
-        for qid in sharers:
-            per_query[qid] = tuple(self._pred_totals(qid, p.E))
-        sid = self.S.create(per_query)
+        if len(sharers) == p.k:
+            idx = None
+            ends = None if len(p.e_end) == p.k else p.e_end
+            edges = p.e_preds
+        else:
+            at_set = {p.pos[qid] for qid in sharers}
+            idx = tuple(sorted(at_set))
+            ends = tuple(i for i in p.e_end if i in at_set)
+            edges = [
+                (ptype, blocker, tuple(i for i in at if i in at_set))
+                for ptype, blocker, at in p.e_preds
+            ]
+        cols = p.zero_columns()
+        for ptype, blocker, at in edges:
+            self.m.ops += len(at)
+            cut = None if blocker is None else self.cuts.get((ptype, blocker))
+            for c, col in enumerate(self.totals[ptype]):
+                dst = cols[c]
+                if cut is None:
+                    for i in at:
+                        dst[i] += col[i]
+                else:
+                    cc = cut[c]
+                    for i in at:
+                        dst[i] += col[i] - cc[i]
+        sid = self.S.create(cols)
         self.m.snapshots_created += 1
         self.shared = {
             "sharers": sharers,
+            # the sharers' positions, and those whose templates end at E
+            # (None: every position)
+            "idx": idx,
+            "ends": ends,
             "entry": sid,
             # the events so far, one coefficient vector per value index
             "run": [{} for _ in range(1 + p.nch)],
             "g": 0,
-            # MIN/MAX participation gate per query (entry count > 0 or start)
-            "gate": {
-                qid: per_query[qid][CNT] > 0 or p.E in p.tpls[qid].start
+            # the sharers whose match varies per event, and whether any has
+            # an edge predicate (each such event gets an event snapshot)
+            "pred": sharers & p.type_pred_qids.get(p.E, frozenset()),
+            "edge": not sharers.isdisjoint(p.edge_pred_qids),
+            # the MIN/MAX sharers that take part (entry count > 0 or start)
+            "mm": tuple(
+                qid
                 for qid in sharers
-            },
+                if qid in p.minmax_names
+                and (cols[CNT][p.pos[qid]] > 0 or p.E in p.tpls[qid].start)
+            ),
         }
 
     def _close_graphlet(self) -> None:
+        """Resolve the open graphlet for all sharers at once and add its
+        events' values to ``E``'s totals and, where ``E`` ends the
+        template, to the results."""
         sh = self.shared
         if sh is None:
             return
         p = self.plan
-        for qid in sh["sharers"]:
-            vals = [self.S.resolve(run, qid) for run in sh["run"]]
-            self.m.ops += len(sh["run"][CNT])
-            add_into(self.totals[qid][p.E], vals)
-            if p.E in p.tpls[qid].end:
-                add_into(self.res[qid], vals)
+        run = sh["run"]
+        vals = [self.S.resolve(v, p.one) for v in run]
+        self.m.ops += len(sh["sharers"]) * len(run[CNT])
+        _add_at(self.totals[p.E], vals, sh["idx"])
+        _add_at(self.res, vals, sh["ends"])
         self.shared = None
         self.S.gc()
 
@@ -418,15 +502,12 @@ class HamletSetEngine:
         p = self.plan
         sh = self.shared
         sharers = sh["sharers"]
-        if sharers & p.kleene_pred_qids:
-            M = frozenset(qid for qid in sharers if p.by_qid[qid].matches(e))
-        else:
-            M = sharers
+        failed = [qid for qid in sh["pred"] if not p.by_qid[qid].matches(e)]
+        M = sharers.difference(failed) if failed else sharers
         if not M:
             return
-        uniform = M == sharers and not (sharers & p.edge_pred_qids)
         run = sh["run"]
-        if uniform:
+        if not failed and not sh["edge"]:
             # Eq. 2 over coefficient vectors: the entry snapshot, the events
             # so far, the start term, then each channel's own attr·count term
             entry = sh["entry"]
@@ -443,25 +524,47 @@ class HamletSetEngine:
                 vecs.append(v)
             self.m.coeff_ops += sum(len(v) for v in vecs)
         else:
-            per_query: dict[str, tuple] = {}
-            for qid in sharers:
-                if qid not in M:
-                    per_query[qid] = p.zero
-                    continue
-                per_query[qid] = tuple(self._value(qid, e))
+            # an event snapshot: each matching sharer's Eq. 2 value, zero
+            # for the others. The graphlet so far (entry plus run) resolves
+            # once for all sharers without an edge predicate.
+            cols = p.zero_columns()
+            so_far = None
+            for qid in M:
+                i = p.pos[qid]
                 recs = self.krecs.get((qid, p.E))
-                if recs is not None:
-                    recs.append((e, per_query[qid]))
-            y = self.S.create(per_query)
+                if recs is None:
+                    if so_far is None:
+                        so_far, terms = self._graphlet_so_far()
+                    self.m.ops += terms
+                    vals = self._value(qid, e, [col[i] for col in so_far])
+                else:
+                    vals = self._value(qid, e)
+                    recs.append((e, tuple(vals)))
+                    self.n_krecs += 1
+                for col, v in zip(cols, vals):
+                    col[i] = v
+            y = self.S.create(cols)
             self.m.snapshots_created += 1
             vecs = [{(y, c): 1 if c == CNT else 1.0} for c in range(len(run))]
         for dst, v in zip(run, vecs):
             vadd(dst, v)
         sh["g"] += 1
         self.m.stored_events += 1
-        for qid in M:
-            if sh["gate"][qid] and qid in self.mm:
+        for qid in sh["mm"]:
+            if qid in M:
                 self._update_minmax(qid, e)
+
+    def _graphlet_so_far(self) -> tuple[list, int]:
+        """The open graphlet's entry snapshot plus its events so far,
+        resolved for every position, and the number of terms in its count
+        vector."""
+        sh = self.shared
+        vecs = []
+        for c, run in enumerate(sh["run"]):
+            v: Vec = {(sh["entry"], c): 1 if c == CNT else 1.0}
+            vadd(v, run)
+            vecs.append(v)
+        return [self.S.resolve(v, self.plan.one) for v in vecs], len(vecs[CNT])
 
     # -- window close ----------------------------------------------------
     def end_window(self) -> None:
@@ -471,16 +574,18 @@ class HamletSetEngine:
 
     def _note_memory(self) -> None:
         """Analytic peak-memory estimate (bytes) — DESIGN.md substitutions."""
+        # snapshot entries, one per (snapshot, query it covers): ONE covers
+        # all k queries; every snapshot of the open graphlet, its sharers
         coeffs = 0
+        snap_entries = self.plan.k
         if self.shared is not None:
             coeffs = sum(len(run) for run in self.shared["run"])
-        snap_entries = sum(len(v) for v in self.S.vals.values())
-        krec = sum(len(v) for v in self.krecs.values())
+            snap_entries += len(self.S.vals) * len(self.shared["sharers"])
         mem = (
             self.m.stored_events * 32
             + snap_entries * 16 * (1 + self.plan.nch)
             + coeffs * 16
-            + krec * 32
+            + self.n_krecs * 32
             + self.plan.totals_entries * 24
         )
         self.m.peak_mem_bytes = max(self.m.peak_mem_bytes, mem)
@@ -488,7 +593,7 @@ class HamletSetEngine:
     def results(self) -> dict[str, dict[str, float]]:
         """Final aggregates per member query for this window instance."""
         out: dict[str, dict[str, float]] = {}
-        for q in self.plan.qs:
+        for i, q in enumerate(self.plan.qs):
             qid = q.qid
             extremes = {}
             for a in q.aggs:
@@ -496,11 +601,23 @@ class HamletSetEngine:
                     lo, hi = self.mm[qid][a.name]
                     v = lo if a.fn == "MIN" else hi
                     extremes[a.name] = v if math.isfinite(v) else math.nan
-            out[qid] = aggregates(q, self.plan.channels, self.res[qid], extremes)
+            vals = [col[i] for col in self.res]
+            out[qid] = aggregates(q, self.plan.channels, vals, extremes)
         return out
 
     def exact_counts(self) -> dict[str, int]:
-        return {q.qid: self.res[q.qid][CNT] for q in self.plan.qs}
+        return {q.qid: self.res[CNT][i] for i, q in enumerate(self.plan.qs)}
+
+
+def _add_at(dst: list[list], src: Sequence[Sequence], idx) -> None:
+    """``dst[c][i] += src[c][i]`` for every value index ``c`` and every
+    position ``i`` in ``idx`` (``None``: every position)."""
+    for d, s in zip(dst, src):
+        if idx is None:
+            d[:] = [a + b for a, b in zip(d, s)]
+        else:
+            for i in idx:
+                d[i] += s[i]
 
 
 def run_hamlet_set(

@@ -13,13 +13,22 @@ Vectors are dicts keyed by ``(snapshot_id, c)``, where ``c`` indexes the
 snapshot's value vector. A SUM channel may reference the *count* value
 of a snapshot (the ``attr(e)·count(e)`` term), which is why the index is
 part of the key.
+
+The table is columnar: a snapshot's value is one *column* per value
+index ``c``, a sequence holding query ``i``'s entry at position ``i``
+(the query's position in its ``HamletPlan``). So one pass over a
+coefficient vector resolves it for every query of the sharable set at
+once (``resolve``), in the manner of MonetDB/X100's column-at-a-time
+primitives. The constant ONE snapshot is not a table entry: its columns
+are the plan's, and ``resolve`` takes them as an argument.
 """
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 Key = Tuple[int, int]  # (snapshot id, index into its value vector)
 Vec = Dict[Key, float]
+Columns = Sequence[Sequence]  # one column per value index, one entry per query
 
 ONE_ID = 0  # reserved constant snapshot: count value 1/0 per query (start term)
 
@@ -38,44 +47,39 @@ def vadd(dst: Vec, src: Vec, scale: float = 1.0) -> None:
 
 
 class SnapshotTable:
-    """Table ``S``: snapshot id -> qid -> value vector.
+    """Table ``S``: snapshot id -> its value columns.
 
-    Values are tuples ``(count, channel_1, ..., channel_m)`` with the
-    count kept as an exact Python int (trend counts are astronomically
-    large — 2^g — and must not lose precision) and channels as floats.
+    ``vals[sid][c][i]`` is the value at index ``c`` of snapshot ``sid`` for
+    the query at position ``i``, with the count (``c = 0``) kept as an
+    exact Python int (trend counts are astronomically large — 2^g — and
+    must not lose precision) and channels as floats. A position whose query
+    the snapshot does not cover holds that index's zero.
     """
 
-    def __init__(self, n_channels: int):
-        self.n_channels = n_channels
-        self.vals: dict[int, dict[str, tuple]] = {}
+    def __init__(self):
+        self.vals: dict[int, Columns] = {}
         self._next_id = ONE_ID + 1
 
-    def set_one(self, per_query: dict[str, tuple]) -> None:
-        """Install the constant ONE snapshot: per query, the value vector
-        ``(start contribution, 0.0, ..., 0.0)``. The table never changes
-        it, so one mapping may serve many tables."""
-        self.vals[ONE_ID] = per_query
-
-    def create(self, per_query: dict[str, tuple]) -> int:
-        """New snapshot with the given per-query value vectors."""
+    def create(self, cols: Columns) -> int:
+        """New snapshot with the given value columns."""
         sid = self._next_id
         self._next_id += 1
-        self.vals[sid] = per_query
+        self.vals[sid] = cols
         return sid
 
-    def resolve(self, vec: Vec, qid: str):
-        """Evaluate a coefficient vector for one query (Σ coeff · S[x][q][c]);
-        a snapshot without a value for ``qid`` contributes 0."""
-        total = 0
+    def resolve(self, vec: Vec, one: Columns) -> list:
+        """Evaluate a coefficient vector for every query position at once:
+        entry ``i`` is Σ coeff · S[x][c][i] over the vector's ``(x, c)``
+        keys, summed in the vector's order. ``one`` holds the ONE
+        snapshot's columns."""
+        total = [0] * len(one[0])
         for (sid, c), coeff in vec.items():
-            v = self.vals[sid].get(qid)
-            total += coeff * (0 if v is None else v[c])
+            col = one[c] if sid == ONE_ID else self.vals[sid][c]
+            total = [t + coeff * v for t, v in zip(total, col)]
         return total
 
     def gc(self) -> None:
-        """Drop every snapshot but ONE. Called when a graphlet closes: no
-        live vector references its snapshots any more (keeps the
-        peak-memory metric honest across graphlet closures)."""
-        for sid in list(self.vals):
-            if sid != ONE_ID:
-                del self.vals[sid]
+        """Drop every snapshot. Called when a graphlet closes: no live
+        vector references its snapshots any more (keeps the peak-memory
+        metric honest across graphlet closures)."""
+        self.vals.clear()

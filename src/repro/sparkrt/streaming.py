@@ -97,7 +97,8 @@ def make_stateful_func(workload: Sequence[Query], system: str, window: float):
     The group state carries *live* engines, so graphlets span micro-batches
     and the dynamic optimizer re-selects its sharing plan for every burst
     of every micro-batch. Windows whose end time has passed are finalized
-    and their aggregates emitted.
+    and their aggregates emitted; the state then keeps only the last
+    emitted window id, and drops any later event at or before it.
 
     The state blob holds the engines' runtime state only: each executor
     plan, query and template an engine references is written as a small
@@ -117,7 +118,7 @@ def make_stateful_func(workload: Sequence[Query], system: str, window: float):
         if state.exists:
             st = _load_state(state.get[0], static)
         else:
-            st = {"engines": {}, "done": set(), "max_t": -math.inf}
+            st = {"engines": {}, "emitted": -math.inf, "max_t": -math.inf}
         events: list[Event] = []
         for pdf in pdf_iter:
             st["max_t"] = max(st["max_t"], float(pdf["time"].max()))
@@ -125,8 +126,8 @@ def make_stateful_func(workload: Sequence[Query], system: str, window: float):
         events.sort(key=lambda e: e.time)
         for e in events:
             wid = int(e.time // window)
-            if wid in st["done"]:
-                continue  # late event past emission — dropped
+            if wid <= st["emitted"]:
+                continue  # late event of an emitted window — dropped
             if wid not in st["engines"]:
                 st["engines"][wid] = [plan.new_engine() for plan in plans]
             for eng in st["engines"][wid]:
@@ -138,7 +139,7 @@ def make_stateful_func(workload: Sequence[Query], system: str, window: float):
                 for eng in st["engines"].pop(wid):
                     eng.end_window()
                     results.update({(qid, ws): aggs for qid, aggs in eng.results().items()})
-                st["done"].add(wid)
+                st["emitted"] = wid
         state.update((_dump_state(st, static),))
         yield result_frame(gkey, results)
 

@@ -267,3 +267,96 @@ def test_two_kleene_edge_predicates_match_brute(mode, seed):
     res = run_hamlet_set(events, qs, "A", mode=mode, pane=[2.0, 5.0, 50.0][seed % 3])
     for q in qs:
         assert_matches_brute(events, q, res[q.qid])
+
+
+# -- the columnar layout over many sharers --------------------------------
+
+_COLUMN_PATTERNS = (
+    seq(Atom("A"), Kleene("B")),
+    seq(Atom("C"), Kleene("B")),
+    seq(Atom("A"), Kleene("B"), Atom("C")),
+    seq(Kleene("B")),
+    seq(Kleene("B"), Atom("D")),
+    seq(Atom("A"), Neg("N"), Kleene("B")),
+)
+_COLUMN_AGGS = (
+    (AggSpec("COUNT_STAR"),),
+    (AggSpec("COUNT_STAR"), AggSpec("SUM", "B", "v")),
+    (AggSpec("COUNT_E", "B"), AggSpec("AVG", "B", "v")),
+    (AggSpec("SUM", "B", "w"), AggSpec("AVG", "B", "v"), AggSpec("COUNT_STAR")),
+)
+
+
+def _column_set(seed, k):
+    """k queries over Kleene B with mixed aggregates; about one in six has
+    a unary predicate on B and one in ten an edge predicate, so most share
+    every burst and a minority diverges."""
+    rng = random.Random(seed)
+    qs = []
+    for i in range(k):
+        where = {"B": (Pred("v", ">=", rng.choice([2, 4, 6])),)} if rng.random() < 0.17 else {}
+        edge = EdgePred("v", "<=") if rng.random() < 0.1 else None
+        qs.append(
+            Query(
+                qid=f"c{i}",
+                elems=_COLUMN_PATTERNS[i % len(_COLUMN_PATTERNS)],
+                aggs=_COLUMN_AGGS[i % len(_COLUMN_AGGS)],
+                where=where,
+                edge_pred=edge,
+            )
+        )
+    return qs
+
+
+def _bursty_events(seed, n=70):
+    """Runs of 1-6 B events between single A, C, D or N events."""
+    rng = random.Random(seed)
+    types = []
+    while len(types) < n:
+        if rng.random() < 0.5:
+            types += ["B"] * rng.randint(1, 6)
+        types.append(rng.choice("ACDN"))
+    return [
+        Event(i + rng.random() * 0.5, et, {"v": rng.randint(0, 9), "w": rng.random() * 5})
+        for i, et in enumerate(types[:n])
+    ]
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+@pytest.mark.parametrize("k", [2, 20, 50])
+def test_columns_equal_greta(k, mode):
+    """Every query's results equal GRETA's with k queries in one set: exact
+    counts, channels within 1e-9 (NaN equals NaN). In dynamic mode some
+    burst shares with a proper subset of at least two sharers, so the
+    column kernels also run with non-sharer positions left alone."""
+    from repro.core.greta import GretaState
+
+    subsets = 0
+    for seed in range(3):
+        events = _bursty_events(seed)
+        qs = _column_set(seed * 7 + k, k)
+        eng = HamletSetEngine(qs, "B", mode=mode, pane=100.0)
+        open_shared = eng._open_shared
+
+        def record(sharers, open_shared=open_shared):
+            nonlocal subsets
+            subsets += 2 <= len(sharers) < k
+            open_shared(sharers)
+
+        eng._open_shared = record
+        for e in events:
+            eng.on_event(e)
+        eng.end_window()
+        got, counts = eng.results(), eng.exact_counts()
+        for q in qs:
+            ref = GretaState(q)
+            for e in events:
+                ref.on_event(e)
+            assert counts[q.qid] == ref.exact_count(), (seed, q.qid)
+            for name, want in ref.results().items():
+                val = got[q.qid][name]
+                assert (want != want and val != val) or abs(val - want) <= 1e-9 * max(
+                    1.0, abs(want)
+                ), (seed, q.qid, name, val, want)
+    if mode == "dynamic" and k > 2:
+        assert subsets > 0

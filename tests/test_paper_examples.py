@@ -39,9 +39,9 @@ def _recording_engine(queries):
     created = {}
     create = eng.S.create
 
-    def record(per_query):
-        sid = create(per_query)
-        created[sid] = per_query
+    def record(cols):
+        sid = create(cols)
+        created[sid] = eng.plan.by_query(cols)
         return sid
 
     eng.S.create = record
@@ -58,9 +58,9 @@ def test_table3_shared_propagation_doubles():
     for i in range(4):
         eng.on_event(_ev(3 + i, "B"))
         eng._flush_burst()  # white-box: force the buffered burst through
-        sh = eng.shared
-        counts_q1.append(eng.S.resolve(sh["run"][CNT], "q1"))
-        counts_q2.append(eng.S.resolve(sh["run"][CNT], "q2"))
+        counts = eng.S.resolve(eng.shared["run"][CNT], eng.plan.one)
+        counts_q1.append(counts[eng.plan.pos["q1"]])
+        counts_q2.append(counts[eng.plan.pos["q2"]])
     # running sums after each event: x,3x,7x,15x with x=2 (q1) / x=1 (q2)
     assert counts_q1 == [2, 6, 14, 30]
     assert counts_q2 == [1, 3, 7, 15]

@@ -11,14 +11,17 @@ from pyspark import cloudpickle
 from pyspark.sql.streaming import DataStreamWriter, StreamingQueryListener
 
 from repro.core.brute import brute_results
-from repro.core.engine import run_system
+from repro.core.engine import run_system, window_executors
 from repro.core.events import events_from_pandas
 from repro.core.queries import Atom, Kleene, Query, seq
+from repro.core.snapshots import ONE_ID
 from repro.core.workloads import workload1
 from repro.sparkrt.batch import run_workload_spark
 from repro.sparkrt.streaming import (
     FLUSH_TYPE,
     OUT_COLS,
+    _load_state,
+    _static_objects,
     make_stateful_func,
     run_stream,
     write_pane_files,
@@ -234,6 +237,48 @@ def test_state_blob_holds_no_query_definitions(stream_pdf, system):
             names.add(arg)
     assert "repro.core.greta" in names  # open windows' engines are in the blob
     assert not names & {"repro.core.queries", "repro.core.template"}
+
+
+def test_state_blob_holds_no_one_snapshot(stream_pdf):
+    """The constant ONE snapshot's columns belong to the executor plan: a
+    key's blob, read back while windows are open, has no snapshot-table
+    entry for it in any engine."""
+    wl = workload1(50, kleene_type="T", window=WINDOW, slide=WINDOW)
+    func = make_stateful_func(wl, "hamlet", WINDOW)
+    grp = stream_pdf[stream_pdf["gkey"] == stream_pdf["gkey"].iloc[0]]
+    state = _StubGroupState()
+    for _, pane in grp.groupby(grp["time"] // PANE):
+        list(_fresh_copy(func)((0,), iter([pane]), state))
+    static = _static_objects([plan for _, _, plan in window_executors(wl, "hamlet")])
+    st = _load_state(state.get[0], static)
+    engines = [eng for engs in st["engines"].values() for eng in engs]
+    assert engines
+    for eng in engines:
+        assert ONE_ID not in eng.S.vals
+
+
+@pytest.mark.parametrize("system", ["greta", "hamlet"])
+def test_state_blob_does_not_grow_with_closed_windows(system):
+    """The same events in every 10-s tumbling window, one call per window:
+    the blob after 50 closed windows is no larger than after 5."""
+    q = Query(qid="q", elems=seq(Atom("A"), Kleene("B")), window=10.0, slide=10.0)
+    func = make_stateful_func([q], system, 10.0)
+    state = _StubGroupState()
+    sizes = {}
+    for w in range(51):
+        pane = pd.DataFrame(
+            {
+                "time": [10.0 * w + 1, 10.0 * w + 2, 10.0 * w + 3],
+                "etype": ["A", "B", "B"],
+                "gkey": 0,
+                **{c: 0.0 for c in ATTR_COLS},
+            }
+        )
+        rows = pd.concat(list(func((0,), iter([pane]), state)))
+        # this call closes window w - 1; windows 0 .. w - 1 are closed
+        assert sorted(rows["window_start"].unique()) == ([10.0 * (w - 1)] if w else [])
+        sizes[w] = len(state.get[0])
+    assert sizes[50] <= sizes[5]
 
 
 @pytest.mark.parametrize("system", ["greta", "hamlet", "hamlet-static", "hamlet-nonshared"])
