@@ -1,13 +1,19 @@
 #!/usr/bin/env python
 """In-process engine benchmark: Hamlet's wall time and counters on fixed inputs.
 
-    python3 jobs/bench_engine.py [--repeat N] [--label NAME] [--out FILE]
+    python3 jobs/bench_engine.py [--repeat N] [--label NAME] [--out FILE] [--opcodes]
 
 Runs ``run_system`` over every group of two fixed inputs, for the three
 Hamlet systems, ``--repeat`` times, and records per (input, system) the
 best wall time of a whole pass (all groups, in milliseconds) next to the
 engine counters ``ops``, ``coeff_ops``, ``snapshots_created`` and
 ``peak_mem_bytes``, which repeat exactly from pass to pass. No Spark.
+
+``--opcodes`` also records, per (input, system), the number of Python
+opcodes one ``run_system`` call over the input's group 0 executes
+(``sys.settrace`` with opcode events; builtins run in C and are not
+counted). The count does not depend on the host's speed, so it backs up
+the best times when host noise hides a difference.
 
 The inputs are perfbench's ``nyc-shared`` input (T11 regime: every burst
 shared, no query diverges) and ``stock-diverse`` input (T12 regime:
@@ -39,8 +45,32 @@ SYSTEMS = ("hamlet", "hamlet-static", "hamlet-nonshared")
 COUNTERS = ("ops", "coeff_ops", "snapshots_created", "peak_mem_bytes")
 
 
-def bench(repeat: int) -> dict:
-    """``{config: {system: {"best_ms", counters...}}}`` over ``repeat`` passes."""
+def count_opcodes(fn) -> int:
+    """The Python opcodes executed by ``fn()``, in every frame it runs."""
+    n = 0
+
+    def local(frame, event, arg):
+        nonlocal n
+        if event == "opcode":
+            n += 1
+        return local
+
+    def enter(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    prev = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        fn()
+    finally:
+        sys.settrace(prev)
+    return n
+
+
+def bench(repeat: int, opcodes: bool = False) -> dict:
+    """``{config: {system: {"best_ms", counters...}}}`` over ``repeat``
+    passes, with each ``opcodes`` count when asked."""
     from repro.core.engine import RunResult, run_system
     from repro.streams import group_events
 
@@ -63,6 +93,11 @@ def bench(repeat: int) -> dict:
                 "best_ms": round(best * 1e3, 2),
                 **{c: getattr(total.metrics, c) for c in COUNTERS},
             }
+            if opcodes:
+                first = next(iter(groups.values()))
+                out[name][system]["opcodes"] = count_opcodes(
+                    lambda: run_system(first, workload, system)
+                )
     return out
 
 
@@ -71,6 +106,9 @@ def main(argv=None) -> int:
     p.add_argument("--repeat", type=int, default=20, help="passes per (input, system)")
     p.add_argument("--label", default="current", help="key of this run in the file")
     p.add_argument("--out", default="BENCH_engine.json", help="JSON file to update")
+    p.add_argument(
+        "--opcodes", action="store_true", help="also count the opcodes of one group-0 run"
+    )
     args = p.parse_args(argv)
     doc = {"runs": {}}
     if os.path.exists(args.out):
@@ -80,7 +118,7 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "results": bench(args.repeat),
+        "results": bench(args.repeat, args.opcodes),
     }
     prev = doc["runs"].get(args.label)
     if prev is not None:
@@ -88,9 +126,12 @@ def main(argv=None) -> int:
         for name, per_sys in run["results"].items():
             for system in SYSTEMS:
                 new, old = per_sys[system], prev["results"][name][system]
-                if any(new[c] != old[c] for c in COUNTERS):
+                same = COUNTERS + (("opcodes",) if "opcodes" in new and "opcodes" in old else ())
+                if any(new[c] != old[c] for c in same):
                     raise SystemExit(f"{args.label}: {name} {system} counters differ from the file's")
                 new["best_ms"] = min(new["best_ms"], old["best_ms"])
+                if "opcodes" in old:
+                    new["opcodes"] = old["opcodes"]
     doc["runs"][args.label] = run
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
@@ -100,7 +141,7 @@ def main(argv=None) -> int:
             r = per_sys[system]
             print(
                 f"{name:14s} {system:17s} {r['best_ms']:9.2f} ms  "
-                + "  ".join(f"{c}={r[c]}" for c in COUNTERS)
+                + "  ".join(f"{c}={r[c]}" for c in COUNTERS + ("opcodes",) if c in r)
             )
     return 0
 

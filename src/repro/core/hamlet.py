@@ -7,7 +7,7 @@ buffered into *bursts* (Definition 10); per complete burst the dynamic
 optimizer picks the sharing plan (``optimizer.choose_plan``); shared
 bursts extend a *shared graphlet* whose per-event intermediate
 aggregates are snapshot coefficient vectors (``snapshots.Vec``), while
-non-shared members fall back to per-query propagation (Eq. 2). Graphlet
+non-shared members propagate on their own totals (Eq. 2). Graphlet
 *split* and *merge* (§4.2) happen implicitly when consecutive bursts
 choose different sharer sets: the active graphlet is resolved
 (collapsed) and a new one opens with a fresh entry snapshot — the
@@ -21,15 +21,16 @@ results).
 The runtime state is columnar. Every per-query quantity (per-type totals,
 negation cuts, Eq. 3 results, snapshot values) holds one *column* per
 value index ``c``, with query ``i``'s entry at position ``i``
-(``HamletPlan.pos``). Opening a shared graphlet computes its entry
-snapshot for all sharers in one pass per predecessor type over the
-positions that have it; closing it resolves each coefficient vector for
-all sharers at once (``SnapshotTable.resolve``) and adds the result to
-``E``'s totals and to the results of the positions whose templates end at
-``E``. Event-level snapshots (a burst event the sharers do not all match)
-resolve the graphlet once for all sharers too. Per-event work outside a
-shared graphlet stays per query: it reads and writes the same columns at
-the query's position.
+(``HamletPlan.pos``). Eq. 2 runs over positions, not queries: one kernel
+(``_eq2``, ``_keep``), driven by the plan's per-type tables (``_Kernel``),
+makes one pass per predecessor edge, adds the start and own-channel terms,
+and stores the event into its type's totals and the end positions'
+results. Non-Kleene events and a burst's non-sharers run it, and a
+negative event copies the totals into the cuts at its positions. A shared
+graphlet's entry snapshot is the same predecessor pass over the sharers;
+closing the graphlet resolves each coefficient vector for all of them at
+once (``SnapshotTable.resolve``). Only an edge-predicate query reads its
+Kleene predecessors per query, from its stored records.
 
 Correctness contract (enforced by tests): for every query the final
 aggregates equal GRETA's and the brute-force enumeration's, for any
@@ -39,10 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence
 
 from .events import Event
-from .greta import CNT, Channel, add_into, aggregates, channels_for, zero
+from .greta import CNT, Channel, aggregates, channels_for, zero
 from .optimizer import BurstStats, choose_plan
 from .queries import Query
 from .snapshots import ONE_ID, SnapshotTable, Vec, vadd
@@ -77,15 +79,73 @@ class Metrics:
             )
 
 
+_MAX_VIEWS = 32  # restricted copies kept per kernel table set
+
+
+class _Kernel(NamedTuple):
+    """One event type's Eq. 2 tables over a set of positions: what an
+    event of the type computes and stores (``HamletSetEngine._eq2``,
+    ``_keep``) and what a negative event of the type copies."""
+
+    idx: tuple  # the positions that take the type as a pattern event
+    edges: tuple  # (ptype, blocker, positions) per predecessor edge
+    recs: tuple  # (position, krecs key, edge predicate): same-type records
+    starts: tuple  # the positions whose templates start at the type
+    ends: tuple  # the positions whose templates end at the type
+    own: tuple  # (value index, attr) of each channel on the type
+    mm: tuple  # (position, qid, name, attr) of each MIN/MAX on the type
+    checks: tuple  # (position, query) with a unary predicate on the type
+    neg: tuple  # the positions that negate the type
+    cuts: tuple  # (cut key, positions) that a negative event copies
+    voids: tuple  # the positions whose trailing negation is the type
+    # the restricted copies made so far, by dropped positions: the same
+    # predicate failures and sharer sets recur from event to event
+    views: dict
+
+    def without(self, drop) -> "_Kernel":
+        """These tables with the positions in the set ``drop`` left out."""
+        if not drop:
+            return self
+        key = frozenset(drop)
+        view = self.views.get(key)
+        if view is None:
+            if len(self.views) >= _MAX_VIEWS:
+                self.views.clear()
+            view = self.views[key] = self._without(key)
+        return view
+
+    def _without(self, drop: frozenset) -> "_Kernel":
+        def keep(at):
+            return tuple(i for i in at if i not in drop)
+
+        def rows(rs):
+            return tuple(r for r in rs if r[0] not in drop)
+
+        def groups(gs):
+            return tuple((*g[:-1], at) for g in gs if (at := keep(g[-1])))
+
+        return _Kernel(
+            keep(self.idx), groups(self.edges), rows(self.recs), keep(self.starts),
+            keep(self.ends), self.own, rows(self.mm), rows(self.checks),
+            keep(self.neg), groups(self.cuts), keep(self.voids), {},
+        )
+
+    def matching(self, e: Event) -> "_Kernel":
+        """These tables without the positions whose unary predicates ``e``
+        fails."""
+        return self.without({i for i, q in self.checks if not q.matches(e)})
+
+
 class HamletPlan:
     """The static part of one sharable set's execution: the workload
     analysis of §3.1 plus the lookup tables every window instance reads.
 
     It holds the queries, their templates, the set's aggregate channels,
     each query's position in the runtime columns, the ONE snapshot's
-    columns, the per-type member lists, the position tables of the graphlet
-    kernels and the optimizer's constant inputs. A plan
-    is built once per executor entry and never changed afterwards, so all
+    columns, the Eq. 2 kernel tables of every event type, the entry
+    snapshot's predecessor edges and the optimizer's constant inputs. A
+    plan is built once per executor entry and never changed afterwards
+    (apart from the kernel tables' caches of restricted copies), so all
     the :class:`HamletSetEngine` instances of an entry share one plan and
     each holds only its own window's runtime state."""
 
@@ -131,26 +191,19 @@ class HamletPlan:
         )
         self.any_kleene_start = any(self.one[CNT])
         self.types = frozenset().union(*(t.types for t in self.tpls.values()))
-        # a graphlet's entry snapshot is the Eq. 2 predecessor sum of E for
-        # every sharer: per predecessor edge (type and blocker), the
-        # positions whose template has it, in each template's own edge order
-        edges: dict[tuple, list[int]] = {}
-        for i, q in enumerate(self.qs):
-            for j, edge in enumerate(self.tpls[q.qid].pt.get(self.E, ())):
-                edges.setdefault((j, edge.ptype, edge.blocker), []).append(i)
-        self.e_preds = tuple(
-            (ptype, blocker, tuple(idx))
-            for (_, ptype, blocker), idx in sorted(edges.items(), key=lambda kv: kv[0][0])
-        )
-        # the positions whose templates end at E (a closed graphlet's results)
-        self.e_end = tuple(
-            i for i, q in enumerate(self.qs) if self.E in self.tpls[q.qid].end
-        )
+        self.kernels = {t: self._kernel(t) for t in self.types}
+        ker = self.kernels[self.E]
+        # a graphlet's entry snapshot: E's predecessor sums for every
+        # sharer, edge-predicate queries included
+        self.e_open = self._kernel(self.E, records=False)
+        # E's tables at the positions without and with stored records: in an
+        # event snapshot the former take the graphlet so far as predecessors
+        recd = frozenset(r[0] for r in ker.recs)
+        self.e_plain = ker.without(recd)
+        self.e_recd = ker.without(frozenset(ker.idx) - recd)
         self.edge_pred_qids = frozenset(q.qid for q in self.qs if q.edge_pred)
         # an edge-predicate query's stored records, one list per Kleene type
-        self.krec_keys = tuple(
-            (q.qid, t) for q in self.qs if q.edge_pred for t in self.tpls[q.qid].kleene
-        )
+        self.krec_keys = tuple(r[1] for ker in self.kernels.values() for r in ker.recs)
         # the MIN/MAX aggregates of each query that has any
         self.minmax_names = {
             q.qid: names
@@ -163,22 +216,57 @@ class HamletPlan:
         self.p_avg = sum(
             len(self.tpls[q.qid].pt.get(self.E, ())) for q in self.qs
         ) / max(len(self.qs), 1)
-        # fast paths: event type -> member queries, and per type the members
-        # with a unary predicate on it; every other member matches every
-        # event of the type without a call to ``Query.matches``
-        members: dict[str, list[str]] = {}
-        with_pred: dict[str, set[str]] = {}
-        for q in self.qs:
-            for t in self.tpls[q.qid].types:
-                members.setdefault(t, []).append(q.qid)
-                if q.where.get(t):
-                    with_pred.setdefault(t, set()).add(q.qid)
-        self.type_members = {t: tuple(qids) for t, qids in members.items()}
-        self.type_pred_qids = {t: frozenset(qids) for t, qids in with_pred.items()}
         # the queries whose Kleene-type match varies (predicates on E or edge
         # predicates); for all others the burst match vector is constant-true
         # and needs no per-event evaluation (workload-1 style queries)
-        self.kleene_pred_qids = self.type_pred_qids.get(self.E, frozenset()) | self.edge_pred_qids
+        self.kleene_pred_qids = (
+            frozenset(q.qid for _, q in ker.checks) | self.edge_pred_qids
+        )
+
+    def _kernel(self, t: str, records: bool = True) -> _Kernel:
+        """Event type ``t``'s kernel tables over every position whose
+        template has it. ``E`` is never negative: its events form bursts.
+        With ``records``, an edge-predicate query's same-type predecessors
+        are its stored records, not a predecessor edge."""
+        mine = [(i, q, tpl) for i, q in enumerate(self.qs) if t in (tpl := self.tpls[q.qid]).types]
+        pos = [m for m in mine if t == self.E or t not in m[2].neg_types]
+        neg = [m for m in mine if t != self.E and t in m[2].neg_types]
+        recs = tuple(
+            (i, (q.qid, t), q.edge_pred)
+            for i, q, tpl in pos
+            if records and q.edge_pred and t in tpl.kleene
+        )
+        with_recs = {r[0] for r in recs}
+        edges: dict[tuple, list[int]] = {}
+        for i, _, tpl in pos:
+            for j, edge in enumerate(tpl.pt.get(t, ())):
+                if i not in with_recs or edge.ptype != t:
+                    edges.setdefault((j, edge.ptype, edge.blocker), []).append(i)
+        cuts: dict[tuple, list[int]] = {}
+        for i, _, tpl in neg:
+            blocked = (x.ptype for es in tpl.pt.values() for x in es if x.blocker == t)
+            for ptype in dict.fromkeys(blocked):
+                cuts.setdefault((ptype, t), []).append(i)
+        return _Kernel(
+            tuple(i for i, _, _ in pos),
+            # in each template's own edge order
+            tuple((pt, b, tuple(edges[j, pt, b])) for j, pt, b in sorted(edges, key=itemgetter(0))),
+            recs,
+            tuple(i for i, _, tpl in pos if t in tpl.start),
+            tuple(i for i, _, tpl in pos if t in tpl.end),
+            tuple((c, ch.attr) for c, ch in enumerate(self.channels, CNT + 1) if ch.etype == t),
+            tuple(
+                (i, q.qid, a.name, a.attr)
+                for i, q, _ in pos
+                for a in q.aggs
+                if a.fn in ("MIN", "MAX") and a.etype == t
+            ),
+            tuple((i, q) for i, q, _ in mine if q.where.get(t)),
+            tuple(i for i, _, _ in neg),
+            tuple((key, tuple(at)) for key, at in cuts.items()),
+            tuple(i for i, _, tpl in neg if tpl.trailing_neg == t),
+            {},
+        )
 
     def _validate_minmax(self) -> None:
         for q in self.qs:
@@ -252,38 +340,74 @@ class HamletSetEngine:
         self.n_so_far = 0
         self.m = Metrics()
 
-    # -- bookkeeping helpers -------------------------------------------
-    def _pred_totals(self, qid: str, etype: str, skip: Optional[str] = None) -> list:
-        """The sum of the per-type totals of ``etype``'s predecessor types
-        for query ``qid`` (Eq. 2), each less its negation cut. ``skip`` is a
-        predecessor type whose values come from elsewhere."""
-        p = self.plan
-        i = p.pos[qid]
-        vals = list(p.zero)
-        for edge in p.tpls[qid].pt.get(etype, ()):
-            if edge.ptype == skip:
-                continue
-            self.m.ops += 1
-            tot = self.totals[edge.ptype]
-            cut = None
-            if edge.blocker is not None:
-                cut = self.cuts.get((edge.ptype, edge.blocker))
-            if cut is None:
-                for c, col in enumerate(tot):
-                    vals[c] += col[i]
-            else:
-                for c, (col, cc) in enumerate(zip(tot, cut)):
-                    vals[c] += col[i] - cc[i]
-        return vals
+    # -- the Eq. 2 kernel ------------------------------------------------
+    def _preds(self, edges: Sequence) -> list[list]:
+        """Eq. 2's predecessor sums at the edges' positions (zero
+        elsewhere): one pass per predecessor edge over its positions, each
+        type's totals less their negation cut."""
+        cols = self.plan.zero_columns()
+        for ptype, blocker, at in edges:
+            self.m.ops += len(at)
+            tot = self.totals[ptype]
+            cut = None if blocker is None else self.cuts.get((ptype, blocker))
+            if cut is not None:
+                tot = [[a - b for a, b in zip(col, cc)] for col, cc in zip(tot, cut)]
+            _add_at(cols, tot, at)
+        return cols
 
-    def _update_minmax(self, qid: str, e: Event) -> None:
-        q = self.plan.by_qid[qid]
-        for a in q.aggs:
-            if a.fn in ("MIN", "MAX") and a.etype == e.etype:
-                v = e.attrs.get(a.attr, 0.0)
-                slot = self.mm[qid][a.name]
-                slot[0] = min(slot[0], v)
-                slot[1] = max(slot[1], v)
+    def _eq2(self, e: Event, ker: _Kernel) -> list[list]:
+        """Eq. 2: the ``[count, channel...]`` columns of matched event ``e``
+        at ``ker``'s positions (zero elsewhere): the predecessors' values,
+        then the start term and ``e``'s own channel terms. An edge-predicate
+        position's same-type predecessors are its stored records, checked
+        pairwise."""
+        cols = self._preds(ker.edges)
+        for i, key, edge_pred in ker.recs:
+            recs = self.krecs[key]
+            self.m.ops += len(recs)
+            for pev, pvals in recs:
+                if edge_pred.ok(pev, e):
+                    for col, v in zip(cols, pvals):
+                        col[i] += v
+        self._own(e, cols, ker)
+        return cols
+
+    def _own(self, e: Event, cols: list[list], ker: _Kernel) -> None:
+        """Add the start term and ``e``'s own channel terms
+        ``attr(e)·count`` at ``ker``'s positions."""
+        cnt = cols[CNT]
+        for i in ker.starts:
+            cnt[i] += 1
+        for c, attr in ker.own:
+            a = 1.0 if attr is None else e.attrs.get(attr, 0.0)
+            col = cols[c]
+            for i in ker.idx:
+                col[i] += cnt[i] * a
+
+    def _keep(self, e: Event, ker: _Kernel, cols: list[list]) -> None:
+        """Keep an event's Eq. 2 columns outside a shared graphlet: in its
+        type's totals and stored records, in the results at the end
+        positions, and in MIN/MAX."""
+        if ker.recs:
+            self._append_recs(e, ker, cols)
+        _add_at(self.totals[e.etype], cols, ker.idx)
+        self.m.stored_events += len(ker.idx)
+        _add_at(self.res, cols, ker.ends)
+        if ker.mm:
+            cnt = cols[CNT]
+            self._minmax(e, [m for m in ker.mm if cnt[m[0]] > 0])
+
+    def _append_recs(self, e: Event, ker: _Kernel, cols: list[list]) -> None:
+        for i, key, _ in ker.recs:
+            self.krecs[key].append((e, tuple(col[i] for col in cols)))
+        self.n_krecs += len(ker.recs)
+
+    def _minmax(self, e: Event, entries: Sequence) -> None:
+        """Fold ``e`` into the MIN/MAX slots of the (position, qid, name,
+        attr) entries."""
+        for _, qid, name, attr in entries:
+            v, slot = e.attrs.get(attr, 0.0), self.mm[qid][name]
+            slot[:] = min(slot[0], v), max(slot[1], v)
 
     # -- event routing --------------------------------------------------
     def on_event(self, e: Event) -> None:
@@ -300,79 +424,33 @@ class HamletSetEngine:
         if e.etype == p.E:
             self.burst.append(e)
             return
-        matched_by = p.type_members.get(e.etype, ())
-        pred = p.type_pred_qids.get(e.etype)
-        if pred:
-            matched_by = [
-                qid for qid in matched_by if qid not in pred or p.by_qid[qid].matches(e)
-            ]
-        if not matched_by:
+        ker = p.kernels.get(e.etype)
+        if ker is None:
+            return
+        ker = ker.matching(e)
+        if not ker.idx and not ker.neg:
             return
         self._flush_burst()
         self._close_graphlet()
-        for qid in matched_by:
-            if e.etype in p.tpls[qid].neg_types:
-                self._on_negative(qid, e)
-            else:
-                self._store(qid, e, self._value(qid, e))
+        if ker.neg:
+            self._on_negative(ker)
+        if ker.idx:
+            self._keep(e, ker, self._eq2(e, ker))
 
-    def _on_negative(self, qid: str, e: Event) -> None:
-        p = self.plan
-        i = p.pos[qid]
-        tpl = p.tpls[qid]
-        for etype, edges in tpl.pt.items():
-            for edge in edges:
-                if edge.blocker == e.etype:
-                    key = (edge.ptype, e.etype)
-                    if key not in self.cuts:
-                        self.cuts[key] = p.zero_columns()
-                    for cc, col in zip(self.cuts[key], self.totals[edge.ptype]):
-                        cc[i] = col[i]
-        if tpl.trailing_neg == e.etype:
-            for col, z in zip(self.res, p.zero):
+    def _on_negative(self, ker: _Kernel) -> None:
+        """A matched negative event: at the positions it blocks, copy the
+        predecessor totals into the cuts; at those whose trailing negation
+        it is, void the pending results."""
+        for key, at in ker.cuts:
+            cut = self.cuts.get(key)
+            if cut is None:
+                cut = self.cuts[key] = self.plan.zero_columns()
+            for cc, col in zip(cut, self.totals[key[0]]):
+                for i in at:
+                    cc[i] = col[i]
+        for col, z in zip(self.res, self.plan.zero):
+            for i in ker.voids:
                 col[i] = z
-
-    def _value(self, qid: str, e: Event, vals: Optional[list] = None) -> list:
-        """Eq. 2: ``[count, channel values...]`` of matched event ``e`` for
-        query ``qid``: the start term, plus the values of ``e``'s
-        predecessors, plus ``e``'s own channel terms ``attr(e)·count``.
-
-        The predecessors' values come from the per-type totals, less the
-        negation cuts. An edge-predicate query's same-type Kleene
-        predecessors come instead from its stored records, checked pairwise.
-        A sharer of the open graphlet passes them in ``vals``: the
-        graphlet's entry snapshot plus its events so far."""
-        p = self.plan
-        if vals is None:
-            recs = self.krecs.get((qid, e.etype))
-            vals = self._pred_totals(qid, e.etype, None if recs is None else e.etype)
-            for pev, pvals in recs or ():
-                self.m.ops += 1
-                if p.by_qid[qid].edge_pred.ok(pev, e):
-                    add_into(vals, pvals)
-        if e.etype in p.tpls[qid].start:
-            vals[CNT] += 1
-        for i, c in enumerate(p.channels, CNT + 1):
-            if c.etype == e.etype:
-                vals[i] += vals[CNT] * (1.0 if c.attr is None else e.attrs.get(c.attr, 0.0))
-        return vals
-
-    def _store(self, qid: str, e: Event, vals: list) -> None:
-        """Keep the Eq. 2 value of an event outside a shared graphlet: in its
-        type's total and stored records, the result (end types) and MIN/MAX."""
-        i = self.plan.pos[qid]
-        recs = self.krecs.get((qid, e.etype))
-        if recs is not None:
-            recs.append((e, tuple(vals)))
-            self.n_krecs += 1
-        for col, v in zip(self.totals[e.etype], vals):
-            col[i] += v
-        self.m.stored_events += 1
-        if e.etype in self.plan.tpls[qid].end:
-            for col, v in zip(self.res, vals):
-                col[i] += v
-            if vals[CNT] > 0:
-                self._update_minmax(qid, e)
 
     # -- Kleene burst handling -----------------------------------------
     def _flush_burst(self) -> None:
@@ -412,18 +490,27 @@ class HamletSetEngine:
             if len(decision.shared) >= 2:
                 self.m.merges += 1 if cur else 0
                 self._open_shared(decision.shared)
-        # the burst's non-sharers, each on its own totals (Eq. 2)
+        # E's kernel tables at the sharers' positions (without and with
+        # stored records) and at the non-sharers', once per burst
         shared = self.shared
-        others = [
-            q.qid for q in p.qs if shared is None or q.qid not in shared["sharers"]
-        ]
-        pred = p.type_pred_qids.get(p.E, frozenset())
+        rest = p.kernels[p.E]
+        if shared is not None:
+            plain, recd = p.e_plain, p.e_recd
+            if shared["idx"] is None:
+                rest = None
+            else:
+                out = frozenset(range(p.k)).difference(shared["idx"])
+                plain, recd = plain.without(out), recd.without(out)
+                rest = rest.without(frozenset(shared["idx"]))
+            checks = plain.checks + recd.checks
         for ev in burst:
             if shared is not None:
-                self._process_shared_event(ev)
-            for qid in others:
-                if qid not in pred or p.by_qid[qid].matches(ev):
-                    self._store(qid, ev, self._value(qid, ev))
+                self._process_shared_event(ev, plain, recd, checks)
+            if rest is not None:
+                # the non-sharers, each on its own totals (Eq. 2)
+                ker = rest.matching(ev)
+                if ker.idx:
+                    self._keep(ev, ker, self._eq2(ev, ker))
         self.n_so_far += len(burst)
         self._note_memory()
 
@@ -432,53 +519,29 @@ class HamletSetEngine:
         Eq. 2 predecessor sum for ``E``, one pass per predecessor edge over
         the sharers' positions."""
         p = self.plan
-        if len(sharers) == p.k:
-            idx = None
-            ends = None if len(p.e_end) == p.k else p.e_end
-            edges = p.e_preds
-        else:
-            at_set = {p.pos[qid] for qid in sharers}
-            idx = tuple(sorted(at_set))
-            ends = tuple(i for i in p.e_end if i in at_set)
-            edges = [
-                (ptype, blocker, tuple(i for i in at if i in at_set))
-                for ptype, blocker, at in p.e_preds
-            ]
-        cols = p.zero_columns()
-        for ptype, blocker, at in edges:
-            self.m.ops += len(at)
-            cut = None if blocker is None else self.cuts.get((ptype, blocker))
-            for c, col in enumerate(self.totals[ptype]):
-                dst = cols[c]
-                if cut is None:
-                    for i in at:
-                        dst[i] += col[i]
-                else:
-                    cc = cut[c]
-                    for i in at:
-                        dst[i] += col[i] - cc[i]
+        out = frozenset()
+        if len(sharers) < p.k:
+            out = frozenset(range(p.k)).difference(p.pos[qid] for qid in sharers)
+        ker = p.e_open.without(out)
+        cols = self._preds(ker.edges)
         sid = self.S.create(cols)
         self.m.snapshots_created += 1
         self.shared = {
             "sharers": sharers,
             # the sharers' positions, and those whose templates end at E
             # (None: every position)
-            "idx": idx,
-            "ends": ends,
+            "idx": ker.idx if out else None,
+            "ends": None if len(ker.ends) == p.k else ker.ends,
             "entry": sid,
             # the events so far, one coefficient vector per value index
             "run": [{} for _ in range(1 + p.nch)],
             "g": 0,
-            # the sharers whose match varies per event, and whether any has
-            # an edge predicate (each such event gets an event snapshot)
-            "pred": sharers & p.type_pred_qids.get(p.E, frozenset()),
-            "edge": not sharers.isdisjoint(p.edge_pred_qids),
-            # the MIN/MAX sharers that take part (entry count > 0 or start)
+            # the MIN/MAX entries (indexes into ``e_open.mm``) of the
+            # sharers that take part: entry count > 0 or E starts the template
             "mm": tuple(
-                qid
-                for qid in sharers
-                if qid in p.minmax_names
-                and (cols[CNT][p.pos[qid]] > 0 or p.E in p.tpls[qid].start)
+                j
+                for j, (i, *_) in enumerate(p.e_open.mm)
+                if i not in out and (cols[CNT][i] > 0 or p.one[CNT][i])
             ),
         }
 
@@ -498,16 +561,21 @@ class HamletSetEngine:
         self.shared = None
         self.S.gc()
 
-    def _process_shared_event(self, e: Event) -> None:
+    def _process_shared_event(
+        self, e: Event, plain: _Kernel, recd: _Kernel, checks: tuple
+    ) -> None:
+        """One burst event in the open graphlet. ``plain`` and ``recd`` are
+        E's kernel tables at the sharers without and with stored records,
+        and ``checks`` their unary predicates on E."""
         p = self.plan
         sh = self.shared
-        sharers = sh["sharers"]
-        failed = [qid for qid in sh["pred"] if not p.by_qid[qid].matches(e)]
-        M = sharers.difference(failed) if failed else sharers
-        if not M:
-            return
+        failed = {i for i, q in checks if not q.matches(e)}
+        if failed:
+            plain, recd = plain.without(failed), recd.without(failed)
+            if not plain.idx and not recd.idx:
+                return
         run = sh["run"]
-        if not failed and not sh["edge"]:
+        if not failed and not recd.idx:
             # Eq. 2 over coefficient vectors: the entry snapshot, the events
             # so far, the start term, then each channel's own attr·count term
             entry = sh["entry"]
@@ -525,24 +593,21 @@ class HamletSetEngine:
             self.m.coeff_ops += sum(len(v) for v in vecs)
         else:
             # an event snapshot: each matching sharer's Eq. 2 value, zero
-            # for the others. The graphlet so far (entry plus run) resolves
-            # once for all sharers without an edge predicate.
-            cols = p.zero_columns()
-            so_far = None
-            for qid in M:
-                i = p.pos[qid]
-                recs = self.krecs.get((qid, p.E))
-                if recs is None:
-                    if so_far is None:
-                        so_far, terms = self._graphlet_so_far()
-                    self.m.ops += terms
-                    vals = self._value(qid, e, [col[i] for col in so_far])
-                else:
-                    vals = self._value(qid, e)
-                    recs.append((e, tuple(vals)))
-                    self.n_krecs += 1
-                for col, v in zip(cols, vals):
-                    col[i] = v
+            # for the others. The edge-predicate sharers run the kernel; for
+            # the others the graphlet so far (entry plus run) resolves once
+            # and stands in for the predecessor sum.
+            cols = self._eq2(e, recd)
+            if plain.idx:
+                so_far = [{(sh["entry"], c): 1 if c == CNT else 1.0} for c in range(len(run))]
+                for v, r in zip(so_far, run):
+                    vadd(v, r)
+                self.m.ops += len(so_far[CNT]) * len(plain.idx)
+                for col, v in zip(cols, so_far):
+                    src = self.S.resolve(v, p.one)
+                    for i in plain.idx:
+                        col[i] = src[i]
+                self._own(e, cols, plain)
+            self._append_recs(e, recd, cols)
             y = self.S.create(cols)
             self.m.snapshots_created += 1
             vecs = [{(y, c): 1 if c == CNT else 1.0} for c in range(len(run))]
@@ -550,21 +615,9 @@ class HamletSetEngine:
             vadd(dst, v)
         sh["g"] += 1
         self.m.stored_events += 1
-        for qid in sh["mm"]:
-            if qid in M:
-                self._update_minmax(qid, e)
-
-    def _graphlet_so_far(self) -> tuple[list, int]:
-        """The open graphlet's entry snapshot plus its events so far,
-        resolved for every position, and the number of terms in its count
-        vector."""
-        sh = self.shared
-        vecs = []
-        for c, run in enumerate(sh["run"]):
-            v: Vec = {(sh["entry"], c): 1 if c == CNT else 1.0}
-            vadd(v, run)
-            vecs.append(v)
-        return [self.S.resolve(v, self.plan.one) for v in vecs], len(vecs[CNT])
+        if sh["mm"]:
+            mm = p.e_open.mm
+            self._minmax(e, [mm[j] for j in sh["mm"] if mm[j][0] not in failed])
 
     # -- window close ----------------------------------------------------
     def end_window(self) -> None:
@@ -612,8 +665,10 @@ class HamletSetEngine:
 def _add_at(dst: list[list], src: Sequence[Sequence], idx) -> None:
     """``dst[c][i] += src[c][i]`` for every value index ``c`` and every
     position ``i`` in ``idx`` (``None``: every position)."""
+    if idx is not None and not idx:
+        return
     for d, s in zip(dst, src):
-        if idx is None:
+        if idx is None or len(idx) == len(d):
             d[:] = [a + b for a, b in zip(d, s)]
         else:
             for i in idx:

@@ -360,3 +360,99 @@ def test_columns_equal_greta(k, mode):
                 ), (seed, q.qid, name, val, want)
     if mode == "dynamic" and k > 2:
         assert subsets > 0
+
+
+# -- the per-event Eq. 2 kernel outside shared graphlets --------------------
+
+# (pattern, aggregates): trailing negation, a channel and MIN/MAX on
+# non-Kleene types, and a query with two Kleene types
+_KERNEL_SHAPES = (
+    (seq(Atom("A"), Kleene("B"), Neg("N")), (AggSpec("COUNT_STAR"), AggSpec("SUM", "B", "v"))),
+    (
+        seq(Atom("A"), Kleene("B"), Atom("C")),
+        (AggSpec("COUNT_STAR"), AggSpec("SUM", "C", "v"), AggSpec("AVG", "B", "w")),
+    ),
+    (
+        seq(Kleene("B"), Atom("D")),
+        (AggSpec("COUNT_STAR"), AggSpec("MAX", "D", "v"), AggSpec("MIN", "D", "v")),
+    ),
+    (
+        seq(Kleene("A"), Kleene("B")),
+        (AggSpec("COUNT_STAR"), AggSpec("COUNT_E", "A"), AggSpec("SUM", "A", "v")),
+    ),
+    (seq(Atom("C"), Kleene("B")), (AggSpec("AVG", "B", "v"), AggSpec("COUNT_E", "B"))),
+    (seq(Atom("A"), Neg("N"), Kleene("B"), Atom("C")), (AggSpec("COUNT_STAR"), AggSpec("SUM", "C", "w"))),
+)
+
+
+def _kernel_set(seed, k):
+    """k queries over Kleene B drawn from ``_KERNEL_SHAPES``. Unary
+    predicates fall on A, C, N and (rarely) B; about one in ten queries has
+    an edge predicate."""
+    rng = random.Random(seed)
+    qs = []
+    for i in range(k):
+        elems, aggs = _KERNEL_SHAPES[i % len(_KERNEL_SHAPES)]
+        where = {}
+        for etype, p in (("A", 0.3), ("C", 0.3), ("N", 0.3), ("B", 0.1)):
+            if rng.random() < p:
+                where[etype] = (Pred("v", ">=", rng.choice([2, 4, 6])),)
+        edge = EdgePred("v", "<=") if rng.random() < 0.1 else None
+        qs.append(Query(qid=f"k{i}", elems=elems, aggs=aggs, where=where, edge_pred=edge))
+    return qs
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+@pytest.mark.parametrize("k", [2, 20, 50])
+def test_kernel_equals_greta(k, mode):
+    """The Eq. 2 kernel's results equal GRETA's on patterns with negation,
+    non-Kleene channels and MIN/MAX, unary predicates on non-Kleene types
+    and two Kleene types: exact counts, channels within 1e-9 (NaN equals
+    NaN)."""
+    from repro.core.greta import GretaState
+
+    for seed in range(3):
+        events = _bursty_events(seed)
+        qs = _kernel_set(seed * 11 + k, k)
+        eng = HamletSetEngine(qs, "B", mode=mode, pane=100.0)
+        for e in events:
+            eng.on_event(e)
+        eng.end_window()
+        got, counts = eng.results(), eng.exact_counts()
+        for q in qs:
+            ref = GretaState(q)
+            for e in events:
+                ref.on_event(e)
+            assert counts[q.qid] == ref.exact_count(), (seed, q.qid)
+            for name, want in ref.results().items():
+                val = got[q.qid][name]
+                assert (want != want and val != val) or abs(val - want) <= 1e-9 * max(
+                    1.0, abs(want)
+                ), (seed, q.qid, name, val, want)
+
+
+# the work counters of one window over ``_bursty_events(0)``, per query pool
+# and mode, as recorded before the per-event kernel replaced the per-query
+# Eq. 2 path: a change to the engine's work accounting shows here
+_PINNED_COUNTERS = {
+    ("column", "dynamic"): (6081, 150, 55, 61, 17576),
+    ("column", "static"): (6406, 134, 0, 66, 17064),
+    ("column", "nonshared"): (4128, 1049, 0, 0, 39144),
+    ("kernel", "dynamic"): (6270, 160, 75, 61, 27440),
+    ("kernel", "static"): (6601, 147, 0, 66, 27024),
+    ("kernel", "nonshared"): (4329, 1090, 0, 0, 42000),
+}
+
+
+@pytest.mark.parametrize("pool, mode", sorted(_PINNED_COUNTERS))
+def test_counters_pinned(pool, mode):
+    """``ops``, ``stored_events``, ``coeff_ops``, ``snapshots_created`` and
+    ``peak_mem_bytes`` of a fixed 20-query set over a fixed input."""
+    qs = (_column_set if pool == "column" else _kernel_set)(5, 20)
+    eng = HamletSetEngine(qs, "B", mode=mode, pane=100.0)
+    for e in _bursty_events(0):
+        eng.on_event(e)
+    eng.end_window()
+    m = eng.m
+    got = (m.ops, m.stored_events, m.coeff_ops, m.snapshots_created, m.peak_mem_bytes)
+    assert got == _PINNED_COUNTERS[pool, mode]
