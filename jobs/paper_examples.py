@@ -2,7 +2,7 @@
 """T-EX: print the paper's worked-example values (Tables 3-5, Eq. 9-11)
 as produced by this implementation, next to the published numbers."""
 from repro.core.events import Event
-from repro.core.hamlet import HamletSetEngine
+from repro.core.hamlet import HamletPlan
 from repro.core.optimizer import CostModel
 from repro.core.queries import Atom, EdgePred, Kleene, Query, seq
 
@@ -17,7 +17,7 @@ def main() -> None:
     evs = [_ev(0, "A"), _ev(1, "A"), _ev(2, "C")]
     evs += [_ev(3 + i, "B") for i in range(4)]
     evs += [_ev(7, "A"), _ev(8, "A"), _ev(9, "C"), _ev(10, "C"), _ev(11, "C"), _ev(12, "B")]
-    eng = HamletSetEngine([q1, q2], "B", mode="static", pane=100.0)
+    eng = HamletPlan([q1, q2], "B", mode="static", pane=100.0).new_engine()
     # record each snapshot's values as the engine creates it (a closed
     # graphlet's snapshots are dropped)
     vals = {}

@@ -13,21 +13,22 @@ Because full enumeration is physically impossible above tiny windows,
 the runner enumerates up to ``max_trends`` trends; beyond that the
 latency is *modelled* as (measured seconds/trend × the largest exact
 per-query trend count from the GRETA DP — a lower bound on the shared
-enumeration size) and flagged in ``notes['modelled']``. Aggregates are
-then computed exactly by the per-query DP, so correctness tests hold at
-any scale. See DESIGN.md substitutions.
+enumeration size), carried as ``BufferedEngine.modelled_s`` and flagged
+in ``RunResult.modelled``. Aggregates are then computed exactly by the
+per-query DP, so correctness tests hold at any scale. See DESIGN.md
+substitutions.
 """
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Optional, Sequence
 
-from ..core.engine import RunResult, window_instances
 from ..core.events import Event
 from ..core.greta import GretaState
 from ..core.hamlet import Metrics
 from ..core.queries import Query
 from ..core.template import build_template, edge_ok, end_ok
+from . import BufferedEngine
 
 
 class _QueryCtx:
@@ -55,82 +56,80 @@ class _QueryCtx:
         return self.node_ok(cur) and edge_ok(self.q, self.tpl, prev, cur, self.blockers)
 
 
-def run_mcep(
-    events: Sequence[Event], workload: Sequence[Query], *, max_trends: int = 200_000
-) -> RunResult:
-    rr = RunResult(system="mcep")
-    events = sorted(events, key=lambda e: e.time)
-    rr.n_events = len(events)
-    for q in workload:
-        for a in q.aggs:
-            if a.fn != "COUNT_STAR":
-                raise ValueError("MCEP reproduction evaluates COUNT(*) workloads")
-    modelled_any = False
-    sigs: dict[tuple, list[Query]] = {}
-    for q in workload:
-        sigs.setdefault((q.window, q.slide), []).append(q)
-    for (window, slide), qs in sigs.items():
-        for start, evs in window_instances(events, window, slide):
-            t0 = time.perf_counter()
-            ctxs = [_QueryCtx(q, evs) for q in qs]
-            nodes = [e for e in evs if any(c.node_ok(e) for c in ctxs)]
-            counts = {q.qid: 0 for q in qs}
-            enumerated = 0
-            budget_hit = False
+class McepPlan:
+    """MCEP over one (window, slide) signature: its COUNT(*) queries and
+    ``max_trends``, the enumeration budget of one window instance."""
 
-            def dfs(path: list, mask: list) -> None:
-                """Shared construction: mask[i] = path valid so far for
-                query i. A path is a trend for query i when mask[i] and
-                its last event is an end for i."""
-                nonlocal enumerated, budget_hit
-                if budget_hit:
-                    return
-                cur = path[-1]
-                ended = False
-                for i, c in enumerate(ctxs):
-                    if mask[i] and end_ok(c.tpl, cur, c.blockers):
-                        counts[c.q.qid] += 1  # aggregation step
-                        ended = True
-                if ended:
-                    enumerated += 1
-                    if enumerated >= max_trends:
-                        budget_hit = True
-                        return
-                for nxt in nodes:
-                    if nxt.time <= cur.time:
-                        continue
-                    nmask = [m and c.edge_ok(cur, nxt) for m, c in zip(mask, ctxs)]
-                    if any(nmask):
-                        path.append(nxt)
-                        dfs(path, nmask)
-                        path.pop()
-                        if budget_hit:
-                            return
+    def __init__(self, queries: Sequence[Query], *, max_trends: int = 200_000):
+        self.qs = tuple(queries)
+        for q in self.qs:
+            for a in q.aggs:
+                if a.fn != "COUNT_STAR":
+                    raise ValueError("MCEP reproduction evaluates COUNT(*) workloads")
+        self.max_trends = max_trends
 
-            for s in nodes:
-                smask = [c.start_ok(s) for c in ctxs]
-                if any(smask):
-                    dfs([s], smask)
-                if budget_hit:
-                    break
-            dt = time.perf_counter() - t0
+    def new_engine(self) -> BufferedEngine:
+        return BufferedEngine(self)
+
+    def evaluate(self, evs: Sequence[Event]) -> tuple[dict, Metrics, Optional[float]]:
+        """Each query's count, the counters, and the modelled latency of a
+        window past the trend budget (else ``None``)."""
+        t0 = time.perf_counter()
+        qs, max_trends, modelled_s = self.qs, self.max_trends, None
+        ctxs = [_QueryCtx(q, evs) for q in qs]
+        nodes = [e for e in evs if any(c.node_ok(e) for c in ctxs)]
+        counts = {q.qid: 0 for q in qs}
+        enumerated = 0
+        budget_hit = False
+
+        def dfs(path: list, mask: list) -> None:
+            """Shared construction: mask[i] = path valid so far for
+            query i. A path is a trend for query i when mask[i] and
+            its last event is an end for i."""
+            nonlocal enumerated, budget_hit
             if budget_hit:
-                # model full-enumeration latency from the measured per-trend
-                # cost and the exact trend counts (per-query DP); the max
-                # per-query count lower-bounds the shared enumeration size.
-                per_trend = dt / max(enumerated, 1)
-                exact = {}
-                for q in qs:
-                    st = GretaState(q)
-                    for e in evs:
-                        st.on_event(e)
-                    exact[q.qid] = st.exact_count()
-                dt = per_trend * float(max(exact.values(), default=0))
-                counts = exact
-                modelled_any = True
-            m = Metrics(events=len(evs), stored_events=len(nodes), ops=enumerated)
-            m.peak_mem_bytes = len(nodes) * 32 + 64  # shared graph + trend buffer
-            rr.record(start, {q.qid: {"COUNT(*)": float(counts[q.qid])} for q in qs}, dt, m)
-            rr.notes["trends"] = rr.notes.get("trends", 0) + enumerated
-    rr.notes["modelled"] = modelled_any
-    return rr
+                return
+            cur = path[-1]
+            ended = False
+            for i, c in enumerate(ctxs):
+                if mask[i] and end_ok(c.tpl, cur, c.blockers):
+                    counts[c.q.qid] += 1  # aggregation step
+                    ended = True
+            if ended:
+                enumerated += 1
+                if enumerated >= max_trends:
+                    budget_hit = True
+                    return
+            for nxt in nodes:
+                if nxt.time <= cur.time:
+                    continue
+                nmask = [m and c.edge_ok(cur, nxt) for m, c in zip(mask, ctxs)]
+                if any(nmask):
+                    path.append(nxt)
+                    dfs(path, nmask)
+                    path.pop()
+                    if budget_hit:
+                        return
+
+        for s in nodes:
+            smask = [c.start_ok(s) for c in ctxs]
+            if any(smask):
+                dfs([s], smask)
+            if budget_hit:
+                break
+        if budget_hit:
+            # model full-enumeration latency from the measured per-trend
+            # cost and the exact trend counts (per-query DP); the max
+            # per-query count lower-bounds the shared enumeration size.
+            per_trend = (time.perf_counter() - t0) / max(enumerated, 1)
+            exact = {}
+            for q in qs:
+                st = GretaState(q)
+                for e in evs:
+                    st.on_event(e)
+                exact[q.qid] = st.exact_count()
+            modelled_s = per_trend * float(max(exact.values(), default=0))
+            counts = exact
+        m = Metrics(events=len(evs), stored_events=len(nodes), ops=enumerated)
+        m.peak_mem_bytes = len(nodes) * 32 + 64  # shared graph + trend buffer
+        return counts, m, modelled_s

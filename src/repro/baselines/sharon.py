@@ -16,12 +16,11 @@ brute force / GRETA).
 """
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
-from ..core.engine import RunResult, window_instances
 from ..core.events import Event
 from ..core.hamlet import Metrics
+from . import BufferedEngine
 from ..core.queries import Atom, Kleene, Query
 
 
@@ -50,70 +49,62 @@ def _flatten_steps(q: Query) -> tuple[list, str, list]:
     return prefix, ketype, suffix
 
 
-def run_sharon(
-    events: Sequence[Event], workload: Sequence[Query], *, l_max: Optional[int] = None
-) -> RunResult:
-    """Evaluate COUNT(*) for each query via flattened sequence workloads."""
-    rr = RunResult(system="sharon")
-    events = sorted(events, key=lambda e: e.time)
-    rr.n_events = len(events)
-    for q in workload:
-        for a in q.aggs:
-            if a.fn != "COUNT_STAR":
-                raise ValueError("SHARON reproduction evaluates COUNT(*) workloads")
+class SharonPlan:
+    """SHARON over one (window, slide) signature: its COUNT(*) queries,
+    their flattened steps, and ``l_max``, the compile-time estimate of the
+    longest match (``None``: each window's exact Kleene count)."""
 
-    # group queries by window signature; flattened patterns deduped within
-    sigs: dict[tuple, list[Query]] = {}
-    for q in workload:
-        sigs.setdefault((q.window, q.slide), []).append(q)
+    def __init__(self, queries: Sequence[Query], *, l_max: Optional[int] = None):
+        self.qs = tuple(queries)
+        for q in self.qs:
+            for a in q.aggs:
+                if a.fn != "COUNT_STAR":
+                    raise ValueError("SHARON reproduction evaluates COUNT(*) workloads")
+        self.flat = {q.qid: _flatten_steps(q) for q in self.qs}
+        self.l_max = l_max
 
-    total_counters = 0
-    for (window, slide), qs in sigs.items():
-        flat = {q.qid: _flatten_steps(q) for q in qs}
-        for start, evs in window_instances(events, window, slide):
-            t0 = time.perf_counter()
-            # bound l by the number of Kleene-type events in this window
-            # (SHARON would need a compile-time estimate at least this big
-            # to be complete — smaller l loses matches)
-            per_pattern: dict[tuple, list] = {}
-            owners: dict[tuple, list[str]] = {}
-            for q in qs:
-                prefix, ketype, suffix = flat[q.qid]
-                # l is SHARON's compile-time estimate of the longest match;
-                # passing l_max models the static global estimate (flattened
-                # queries beyond the actual run length still cost counter
-                # scans every event). Default: exact per-window Kleene count.
-                n_k = sum(1 for e in evs if e.etype == ketype)
-                l = l_max if l_max is not None else n_k
-                for j in range(1, max(l, 0) + 1):
-                    steps = tuple(prefix) + (ketype,) * j + tuple(suffix)
-                    key = (q.qid if q.where else "", steps)  # share only same-predicate patterns
-                    if key not in per_pattern:
-                        per_pattern[key] = [0] * (len(steps) + 1)
-                        per_pattern[key][0] = 1
-                        owners[key] = []
-                    owners[key].append(q.qid)
-            total_counters = max(
-                total_counters, sum(len(v) for v in per_pattern.values())
-            )
-            ops = 0
-            q_by_id = {q.qid: q for q in qs}
-            for e in evs:
-                for (owner, steps), arr in per_pattern.items():
-                    # predicate context: shared patterns ('' owner) have no
-                    # predicates; owned patterns use their query's where
-                    qref = q_by_id[owners[(owner, steps)][0]]
-                    for j in range(len(steps), 0, -1):
-                        ops += 1
-                        if steps[j - 1] == e.etype and qref.matches(e):
-                            arr[j] += arr[j - 1]
-            counts: dict[str, int] = {q.qid: 0 for q in qs}
-            for key, arr in per_pattern.items():
-                for qid in set(owners[key]):
-                    counts[qid] += arr[-1]
-            dt = time.perf_counter() - t0
-            m = Metrics(events=len(evs), ops=ops)
-            m.peak_mem_bytes = sum(len(v) for v in per_pattern.values()) * 8
-            rr.record(start, {q.qid: {"COUNT(*)": float(counts[q.qid])} for q in qs}, dt, m)
-    rr.notes["peak_counters"] = total_counters
-    return rr
+    def new_engine(self) -> BufferedEngine:
+        return BufferedEngine(self)
+
+    def evaluate(self, evs: Sequence[Event]) -> tuple[dict, Metrics, None]:
+        """Each query's count, the counters, and no modelled latency."""
+        qs = self.qs
+        # bound l by the number of Kleene-type events in this window
+        # (SHARON would need a compile-time estimate at least this big
+        # to be complete — smaller l loses matches)
+        per_pattern: dict[tuple, list] = {}
+        owners: dict[tuple, list[str]] = {}
+        for q in qs:
+            prefix, ketype, suffix = self.flat[q.qid]
+            # l is SHARON's compile-time estimate of the longest match;
+            # l_max models the static global estimate (flattened queries
+            # beyond the actual run length still cost counter scans every
+            # event). Default: exact per-window Kleene count.
+            n_k = sum(1 for e in evs if e.etype == ketype)
+            l = self.l_max if self.l_max is not None else n_k
+            for j in range(1, max(l, 0) + 1):
+                steps = tuple(prefix) + (ketype,) * j + tuple(suffix)
+                key = (q.qid if q.where else "", steps)  # share only same-predicate patterns
+                if key not in per_pattern:
+                    per_pattern[key] = [0] * (len(steps) + 1)
+                    per_pattern[key][0] = 1
+                    owners[key] = []
+                owners[key].append(q.qid)
+        ops = 0
+        q_by_id = {q.qid: q for q in qs}
+        for e in evs:
+            for (owner, steps), arr in per_pattern.items():
+                # predicate context: shared patterns ('' owner) have no
+                # predicates; owned patterns use their query's where
+                qref = q_by_id[owners[(owner, steps)][0]]
+                for j in range(len(steps), 0, -1):
+                    ops += 1
+                    if steps[j - 1] == e.etype and qref.matches(e):
+                        arr[j] += arr[j - 1]
+        counts = {q.qid: 0 for q in qs}
+        for key, arr in per_pattern.items():
+            for qid in set(owners[key]):
+                counts[qid] += arr[-1]
+        m = Metrics(events=len(evs), ops=ops)
+        m.peak_mem_bytes = sum(len(v) for v in per_pattern.values()) * 8
+        return counts, m, None

@@ -51,12 +51,9 @@ def fig9_fig10(scale: str = "full") -> list[dict]:
         n_windows = max(int(cfg["minutes"] * 60 / window), 1)
         kleene_per_window = int((pdf["etype"] == "T").sum() / n_windows) + 1
         for system in FOUR_SYSTEMS:
-            if system == "sharon":
-                rr = run_partitioned(pdf, wl, system, sharon_l=kleene_per_window)
-            elif system == "mcep":
-                rr = run_partitioned(pdf, wl, system, mcep_max_trends=1_000_000)
-            else:
-                rr = run_partitioned(pdf, wl, system)
+            rr = run_partitioned(
+                pdf, wl, system, sharon_l=kleene_per_window, mcep_max_trends=1_000_000
+            )
             rows.append(
                 row(table="T9/T10", panel=panel, x_name=x_name, x=x, system=system, rr=rr)
             )

@@ -3,8 +3,7 @@ collect the per-figure table rows (latency / throughput / memory /
 optimizer statistics) exactly as §6.1 defines the metrics."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import pandas as pd
 
@@ -21,17 +20,12 @@ def run_partitioned(
 ) -> RunResult:
     """Run one system over every group partition and merge the results —
     the in-process equivalent of the Spark grouped-map runtime."""
-    merged: Optional[RunResult] = None
+    merged = RunResult(system=system)
     for gkey, events in group_events(pdf).items():
         rr = run_system(events, workload, system, **kw)
         rr.results = {(gkey, w, q): a for (q, w), a in rr.results.items()}
-        if merged is None:
-            merged = rr
-        else:
-            merged.merge(rr)
-            if rr.notes.get("modelled"):
-                merged.notes["modelled"] = True
-    return merged or RunResult(system=system)
+        merged.merge(rr)
+    return merged
 
 
 def row(
@@ -56,7 +50,7 @@ def row(
         "mem_kb": m.peak_mem_bytes / 1024.0,
         "snapshots": m.snapshots_created,
         "shared_burst_pct": (100.0 * m.shared_bursts / m.bursts) if m.bursts else 0.0,
-        "modelled": bool(rr.notes.get("modelled", False)),
+        "modelled": rr.modelled,
     }
     if extra:
         d.update(extra)

@@ -13,7 +13,7 @@ system:
 ``window_executors`` is the one map from a system to the engines that
 evaluate a window instance: it builds each entry's static plan once, and
 ``run_system`` and the Spark streaming operator both drive the plans'
-engines.
+engines, the same way for all six systems.
 
 Windows: each (window, slide) signature is evaluated per window
 *instance* (DESIGN.md substitution: cross-window pane sharing is prior
@@ -23,18 +23,20 @@ matching the paper's metric definitions (§6.1).
 """
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..baselines.mcep import McepPlan
+from ..baselines.sharon import SharonPlan
 from .events import Event
 from .greta import GretaState
 from .hamlet import HamletPlan, Metrics
 from .queries import Query
 from .template import build_template, pane_size, sharable_sets
-
-SYSTEMS = ("hamlet", "hamlet-static", "hamlet-nonshared", "greta", "sharon", "mcep")
 
 
 @dataclass
@@ -47,7 +49,7 @@ class RunResult:
     window_wall: dict = field(default_factory=dict)  # window_start -> seconds
     total_wall: float = 0.0
     n_events: int = 0
-    notes: dict = field(default_factory=dict)
+    modelled: bool = False  # some window's latency is modelled, not measured (MCEP)
 
     @property
     def latency(self) -> float:
@@ -78,37 +80,26 @@ class RunResult:
             self.window_wall[w] = self.window_wall.get(w, 0.0) + s
         self.total_wall += other.total_wall
         self.n_events += other.n_events
+        self.modelled |= other.modelled
 
 
 def window_instances(events: Sequence[Event], window: float, slide: float):
     """Yield ``(window_start, events_in_window)`` for every non-empty
-    instance ``[start, start + window)`` of a sliding window over a
-    time-sorted event list."""
-    if not events:
-        return
+    instance ``[m·slide, m·slide + window)``, ``m`` any integer, of a
+    sliding window over a time-sorted event list. The walk jumps over the
+    gaps between events, so its cost follows the non-empty instances, not
+    the span of the times."""
     times = [e.time for e in events]
-    t_max = times[-1]
-    m = 0
-    while m * slide <= t_max:
+    m, lo = -math.inf, 0
+    while lo < len(times):
+        # skip to the instance before the first that can hold times[lo], so
+        # that rounding cannot overshoot; the events before lo precede it
+        m = max(m + 1, math.floor((times[lo] - window) / slide))
         start = m * slide
-        lo = bisect_left(times, start)
-        hi = bisect_left(times, start + window)
+        lo = bisect_left(times, start, lo)
+        hi = bisect_left(times, start + window, lo)
         if hi > lo:
             yield start, events[lo:hi]
-        m += 1
-
-
-def _engine_groups(workload: Sequence[Query]):
-    """Partition the workload into sharable sets and singleton queries
-    (workload analysis, §3.1)."""
-    sets, singles = sharable_sets(workload)
-    groups: list[tuple] = []
-    for s in sets:
-        groups.append((s.queries, s.etype, s.pane))
-    for q in singles:
-        kts = sorted(q.kleene_types())
-        groups.append(((q,), kts[0] if kts else None, pane_size([q.window, q.slide])))
-    return groups
 
 
 class GretaPlan:
@@ -154,37 +145,55 @@ class GretaSetEngine:
 
 
 _MODES = {"hamlet": "dynamic", "hamlet-static": "static", "hamlet-nonshared": "nonshared"}
+# a baseline's plan for one (window, slide) signature's queries
+_BASELINES = {
+    "greta": lambda qs, sharon_l, mcep_max_trends: GretaPlan(qs),
+    "sharon": lambda qs, sharon_l, mcep_max_trends: SharonPlan(qs, l_max=sharon_l),
+    "mcep": lambda qs, sharon_l, mcep_max_trends: McepPlan(qs, max_trends=mcep_max_trends),
+}
+SYSTEMS = (*_MODES, *_BASELINES)
 
 
-def window_executors(workload: Sequence[Query], system: str) -> list[tuple]:
+def window_executors(
+    workload: Sequence[Query],
+    system: str,
+    *,
+    sharon_l: Optional[int] = None,
+    mcep_max_trends: int = 200_000,
+) -> list[tuple]:
     """The per-window executors that evaluate ``workload`` under ``system``.
 
     Returns ``(window, slide, plan)`` entries. ``plan`` is the entry's
-    static analysis (a :class:`HamletPlan` or :class:`GretaPlan`, with its
-    queries in ``plan.qs``), built here once; ``plan.new_engine()`` builds a
-    fresh engine (``on_event``, ``end_window``, ``results``, ``.m``) for one
-    window instance. ``greta`` gets one entry per (window, slide)
-    signature; the Hamlet systems get one per engine group, and a
-    non-Kleene singleton runs on GRETA.
+    static analysis (its queries in ``plan.qs``), built here once;
+    ``plan.new_engine()`` builds a fresh engine (``on_event``,
+    ``end_window``, ``results``, ``.m``) for one window instance. The
+    baselines get one plan per (window, slide) signature; the Hamlet
+    systems one per sharable set (§3.1) and one per leftover query, run
+    non-shared (on GRETA if it has no Kleene type).
     """
-    if system == "greta":
+    if system not in SYSTEMS:
+        raise ValueError(
+            f"unknown system {system!r}: window executors exist for {', '.join(SYSTEMS)}"
+        )
+    dups = sorted(qid for qid, n in Counter(q.qid for q in workload).items() if n > 1)
+    if dups:
+        raise ValueError(f"duplicate query id {', '.join(map(repr, dups))}")
+    if system in _BASELINES:
         sigs: dict[tuple, list[Query]] = {}
         for q in workload:
             sigs.setdefault((q.window, q.slide), []).append(q)
-        return [(w, s, GretaPlan(qs)) for (w, s), qs in sigs.items()]
-    if system not in _MODES:
-        raise ValueError(
-            f"unknown system {system!r}: window executors exist for "
-            f"{', '.join(('greta', *_MODES))}"
-        )
+        plan = _BASELINES[system]
+        return [(w, s, plan(qs, sharon_l, mcep_max_trends)) for (w, s), qs in sigs.items()]
+    sets, singles = sharable_sets(workload)
     entries = []
-    for queries, ketype, pane in _engine_groups(workload):
-        if ketype is None:
-            plan = GretaPlan(queries)
-        else:
-            mode = _MODES[system] if len(queries) > 1 else "nonshared"
-            plan = HamletPlan(queries, ketype, mode=mode, pane=pane)
-        entries.append((queries[0].window, queries[0].slide, plan))
+    for s in sets:
+        plan = HamletPlan(s.queries, s.etype, mode=_MODES[system], pane=s.pane)
+        entries.append((s.queries[0].window, s.queries[0].slide, plan))
+    for q in singles:
+        kts = sorted(q.kleene_types())
+        pane = pane_size([q.window, q.slide])
+        plan = HamletPlan((q,), kts[0], mode="nonshared", pane=pane) if kts else GretaPlan((q,))
+        entries.append((q.window, q.slide, plan))
     return entries
 
 
@@ -196,16 +205,11 @@ def run_system(
     sharon_l: Optional[int] = None,
     mcep_max_trends: int = 200_000,
 ) -> RunResult:
-    """Evaluate ``workload`` over one group's time-sorted ``events``."""
-    if system in ("sharon", "mcep"):
-        from ..baselines import mcep as _mcep
-        from ..baselines import sharon as _sharon
-
-        if system == "sharon":
-            return _sharon.run_sharon(events, workload, l_max=sharon_l)
-        return _mcep.run_mcep(events, workload, max_trends=mcep_max_trends)
-
-    executors = window_executors(workload, system)
+    """Evaluate ``workload`` over one group's time-sorted ``events``, one
+    fresh engine per window instance of each ``window_executors`` entry."""
+    executors = window_executors(
+        workload, system, sharon_l=sharon_l, mcep_max_trends=mcep_max_trends
+    )
     events = sorted(events, key=lambda e: e.time)
     rr = RunResult(system=system, n_events=len(events))
     for window, slide, plan in executors:
@@ -215,5 +219,10 @@ def run_system(
             for e in evs:
                 eng.on_event(e)
             eng.end_window()
-            rr.record(start, eng.results(), time.perf_counter() - t0, eng.m)
+            results = eng.results()
+            # an engine whose latency is modelled, not measured, carries it
+            modelled = getattr(eng, "modelled_s", None)
+            rr.modelled |= modelled is not None
+            dt = time.perf_counter() - t0 if modelled is None else modelled
+            rr.record(start, results, dt, eng.m)
     return rr

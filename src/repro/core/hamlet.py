@@ -292,9 +292,7 @@ class HamletPlan:
     def new_engine(self) -> "HamletSetEngine":
         """A fresh engine for one window instance of this set: it shares
         this plan and allocates only runtime state."""
-        eng = HamletSetEngine.__new__(HamletSetEngine)
-        eng._start(self)
-        return eng
+        return HamletSetEngine(self)
 
 
 class HamletSetEngine:
@@ -303,17 +301,7 @@ class HamletSetEngine:
     ``plan`` is the set's shared :class:`HamletPlan`; every other attribute
     is this window instance's runtime state."""
 
-    def __init__(
-        self,
-        queries: Sequence[Query],
-        kleene_type: str,
-        *,
-        mode: str = "dynamic",
-        pane: float = 60.0,
-    ):
-        self._start(HamletPlan(queries, kleene_type, mode=mode, pane=pane))
-
-    def _start(self, plan: HamletPlan) -> None:
+    def __init__(self, plan: HamletPlan):
         self.plan = plan
         self.S = SnapshotTable()
         # per-query state, columnar: one column per value index [count,
@@ -684,7 +672,7 @@ def run_hamlet_set(
     pane: float = 60.0,
 ) -> dict[str, dict[str, float]]:
     """Convenience: one window instance over a sharable set."""
-    eng = HamletSetEngine(queries, kleene_type, mode=mode, pane=pane)
+    eng = HamletPlan(queries, kleene_type, mode=mode, pane=pane).new_engine()
     for e in sorted(events, key=lambda x: x.time):
         eng.on_event(e)
     eng.end_window()

@@ -42,20 +42,17 @@ def run_workload_spark(
     workload: Sequence[Query],
     *,
     system: str = "hamlet",
-    attr_cols: Sequence[str] = ATTR_COLS,
-    **run_kwargs,
 ) -> DataFrame:
     """Evaluate the workload per group partition; returns the result frame.
 
-    ``events_df`` must have columns ``time, etype, gkey`` plus ``attr_cols``.
+    ``events_df`` must have columns ``time, etype, gkey`` plus ``ATTR_COLS``.
     """
     workload = list(workload)
-    attr_cols = tuple(attr_cols)
 
     def _run_group(pdf: pd.DataFrame) -> pd.DataFrame:
         gkey = int(pdf["gkey"].iloc[0])
-        events = events_from_pandas(pdf, attr_cols)
-        return result_frame(gkey, run_system(events, workload, system, **run_kwargs).results)
+        events = events_from_pandas(pdf, ATTR_COLS)
+        return result_frame(gkey, run_system(events, workload, system).results)
 
     # an explicit count, which AQE does not coalesce: one task per core
     return (

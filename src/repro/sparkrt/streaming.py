@@ -5,9 +5,9 @@ aggregation as a Structured Streaming stateful operator with dynamic
 sharing plan selection per micro-batch*. A file source delivers one
 **pane** per micro-batch (``maxFilesPerTrigger=1``); the stream is keyed
 by the group attribute and processed with ``applyInPandasWithState``.
-The group state carries the per-window Hamlet engines' runtime state
-(their shared executor plans stay in the function's closure); inside
-every micro-batch the dynamic optimizer re-decides the sharing plan for
+The group state carries the per-window engines' runtime state, for any
+system (their shared executor plans stay in the function's closure); in
+every micro-batch Hamlet's dynamic optimizer re-decides the sharing plan for
 each burst (``choose_plan``), so plans adapt micro-batch by micro-batch
 exactly as the paper's optimizer adapts per burst. Completed windows
 are emitted in update mode; a far-future flush sentinel closes the final
@@ -68,7 +68,8 @@ def _static_objects(plans) -> dict:
         objs[("plan", i)] = plan
         for q in plan.qs:
             objs[("query", q.qid)] = q
-            objs[("template", q.qid)] = plan.tpls[q.qid]
+        for qid, tpl in getattr(plan, "tpls", {}).items():
+            objs[("template", qid)] = tpl
     return objs
 
 

@@ -2,8 +2,7 @@
 path, and the cost characteristics the §6 comparison rests on."""
 import pytest
 
-from repro.baselines.mcep import run_mcep
-from repro.baselines.sharon import _flatten_steps, run_sharon
+from repro.baselines.sharon import _flatten_steps
 from repro.core.engine import run_system
 from repro.core.events import Event
 from repro.core.queries import (
@@ -32,7 +31,7 @@ def test_sharon_equals_greta(seed):
         _q("b", seq(Atom("C"), Kleene("B"), Atom("D"))),
     ]
     ref = run_system(events, qs, "greta")
-    got = run_sharon(events, qs)
+    got = run_system(events, qs, "sharon")
     for key in ref.results:
         assert got.results[key]["COUNT(*)"] == ref.results[key]["COUNT(*)"]
 
@@ -43,8 +42,8 @@ def test_sharon_l_estimate_bounds_completeness():
     over-provision l, which is what makes it slow)."""
     events = [Event(0, "A", {})] + [Event(i + 1.0, "B", {}) for i in range(5)]
     q = _q("a", seq(Atom("A"), Kleene("B")))
-    full = run_sharon(events, [q]).results[("a", 0.0)]["COUNT(*)"]
-    capped = run_sharon(events, [q], l_max=2).results[("a", 0.0)]["COUNT(*)"]
+    full = run_system(events, [q], "sharon").results[("a", 0.0)]["COUNT(*)"]
+    capped = run_system(events, [q], "sharon", sharon_l=2).results[("a", 0.0)]["COUNT(*)"]
     assert full == 2**5 - 1
     assert capped == 5 + 10  # C(5,1) + C(5,2)
 
@@ -52,18 +51,22 @@ def test_sharon_l_estimate_bounds_completeness():
 def test_sharon_cost_quadratic_in_l():
     events = [Event(0, "A", {})] + [Event(i + 1.0, "B", {}) for i in range(10)]
     q = _q("a", seq(Atom("A"), Kleene("B")))
-    ops_small = run_sharon(events, [q], l_max=5).metrics.ops
-    ops_big = run_sharon(events, [q], l_max=50).metrics.ops
+    ops_small = run_system(events, [q], "sharon", sharon_l=5).metrics.ops
+    ops_big = run_system(events, [q], "sharon", sharon_l=50).metrics.ops
     assert ops_big > 5 * ops_small
 
 
 def test_sharon_rejects_unsupported_queries():
     with pytest.raises(ValueError):
-        run_sharon([], [_q("a", seq(Atom("A"), Kleene("B")), edge_pred=EdgePred("v", "<="))])
+        run_system(
+            [], [_q("a", seq(Atom("A"), Kleene("B")), edge_pred=EdgePred("v", "<="))], "sharon"
+        )
     with pytest.raises(ValueError):
-        run_sharon([], [_q("a", seq(Atom("A"), Atom("B")))])  # no Kleene
+        run_system([], [_q("a", seq(Atom("A"), Atom("B")))], "sharon")  # no Kleene
     with pytest.raises(ValueError):
-        run_sharon([], [_q("a", seq(Atom("A"), Kleene("B")), aggs=(AggSpec("SUM", "B", "v"),))])
+        run_system(
+            [], [_q("a", seq(Atom("A"), Kleene("B")), aggs=(AggSpec("SUM", "B", "v"),))], "sharon"
+        )
 
 
 def test_flatten_steps_prefix_suffix():
@@ -80,7 +83,7 @@ def test_mcep_equals_greta(seed):
         _q("c", seq(Atom("A"), Neg("N"), Kleene("B"))),
     ]
     ref = run_system(events, qs, "greta")
-    got = run_mcep(events, qs)
+    got = run_system(events, qs, "mcep")
     for key in ref.results:
         assert got.results[key]["COUNT(*)"] == ref.results[key]["COUNT(*)"]
 
@@ -88,8 +91,8 @@ def test_mcep_equals_greta(seed):
 def test_mcep_trend_budget_triggers_modelling():
     events = [Event(0, "A", {})] + [Event(i + 1.0, "B", {}) for i in range(30)]
     q = Query(qid="a", elems=seq(Atom("A"), Kleene("B")), window=50.0, slide=50.0)
-    rr = run_mcep(events, [q], max_trends=50)
-    assert rr.notes["modelled"] is True
+    rr = run_system(events, [q], "mcep", mcep_max_trends=50)
+    assert rr.modelled is True
     # results still exact via the DP fallback
     assert rr.results[("a", 0.0)]["COUNT(*)"] == float(2**30 - 1)
     # modelled latency reflects the true trend count, not the cap
@@ -99,9 +102,9 @@ def test_mcep_trend_budget_triggers_modelling():
 def test_mcep_counts_trends_not_prefixes():
     events = [Event(0, "A", {}), Event(1, "B", {}), Event(2, "B", {})]
     q = _q("a", seq(Atom("A"), Kleene("B")))
-    rr = run_mcep(events, [q])
+    rr = run_system(events, [q], "mcep")
     assert rr.results[("a", 0.0)]["COUNT(*)"] == 3.0
-    assert rr.notes["trends"] == 3
+    assert rr.metrics.ops == 3
 
 
 def test_mcep_shares_construction_across_queries():
@@ -109,12 +112,14 @@ def test_mcep_shares_construction_across_queries():
     each trend once (enumerated == distinct trends, not per query)."""
     events = [Event(0, "A", {}), Event(0.5, "C", {}), Event(1, "B", {}), Event(2, "B", {})]
     qs = [_q("a", seq(Atom("A"), Kleene("B"))), _q("b", seq(Atom("C"), Kleene("B")))]
-    rr = run_mcep(events, qs)
+    rr = run_system(events, qs, "mcep")
     assert rr.results[("a", 0.0)]["COUNT(*)"] == 3.0
     assert rr.results[("b", 0.0)]["COUNT(*)"] == 3.0
-    assert rr.notes["trends"] == 6  # disjoint start events -> separate paths
+    assert rr.metrics.ops == 6  # disjoint start events -> separate paths
 
 
 def test_mcep_rejects_non_count_aggregates():
     with pytest.raises(ValueError):
-        run_mcep([], [_q("a", seq(Atom("A"), Kleene("B")), aggs=(AggSpec("SUM", "B", "v"),))])
+        run_system(
+            [], [_q("a", seq(Atom("A"), Kleene("B")), aggs=(AggSpec("SUM", "B", "v"),))], "mcep"
+        )

@@ -1,7 +1,10 @@
 """Workload-level facade: window instancing, system dispatch, metrics
 (paper §6.1 metric definitions)."""
+import bisect
+
 import pytest
 
+from repro.core import engine
 from repro.core.brute import brute_results
 from repro.core.engine import RunResult, SYSTEMS, run_system, window_instances
 from repro.core.events import Event
@@ -45,7 +48,58 @@ def test_run_system_rejects_nothing_silently():
     with pytest.raises(ValueError, match="hamlet-static"):
         run_system([_ev(1.0, "A")], [q], "nope")
     with pytest.raises(ValueError, match="hamlet-static"):
-        make_stateful_func([q], "sharon", 10.0)
+        make_stateful_func([q], "nope", 10.0)
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_duplicate_query_ids_rejected(system):
+    """Two queries with one qid would share a result key: every entry point
+    refuses them and names the qid."""
+    from repro.sparkrt.streaming import make_stateful_func
+
+    qs = [
+        Query(qid="q", elems=seq(Atom("A"), Kleene("B")), window=10.0, slide=10.0),
+        Query(qid="q", elems=seq(Atom("C"), Kleene("B")), window=10.0, slide=10.0),
+    ]
+    events = [_ev(1.0, "A"), _ev(2.0, "B"), _ev(3.0, "C"), _ev(4.0, "B")]
+    with pytest.raises(ValueError, match="duplicate query id 'q'"):
+        run_system(events, qs, system)
+    with pytest.raises(ValueError, match="duplicate query id 'q'"):
+        make_stateful_func(qs, system, 10.0)
+
+
+@pytest.mark.parametrize("slide", [10.0, 5.0])
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_negative_times_match_brute(system, slide):
+    """Events before time 0 belong to the instances that start before 0,
+    as the streaming operator's ``int(t // window)`` keys them."""
+    events = [_ev(-5.0, "A"), _ev(-3.0, "B"), _ev(1.0, "A"), _ev(2.0, "B")]
+    q = Query(qid="q", elems=seq(Atom("A"), Kleene("B")), window=10.0, slide=slide)
+    want = {}
+    for start in (slide * m for m in range(-4, 2)):
+        in_window = [e for e in events if start <= e.time < start + 10.0]
+        if in_window:
+            want[("q", start)] = brute_results(in_window, q)
+    assert ("q", -10.0) in want
+    assert run_system(events, [q], system).results == want
+
+
+def test_window_instances_cost_follows_nonempty_instances(monkeypatch):
+    """Epoch-second times: slicing visits the non-empty instances, not
+    every instance since time 0."""
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls > 20:
+            raise AssertionError("window_instances walks empty instances")
+        return bisect.bisect_left(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "bisect_left", counted)
+    evs = [_ev(1.6e9 + 2.0 * i, "B") for i in range(30)]
+    inst = list(window_instances(evs, 60.0, 60.0))
+    assert [(s, len(es)) for s, es in inst] == [(1.6e9 - 40.0, 10), (1.6e9 + 20.0, 20)]
 
 
 @pytest.mark.parametrize("seed", range(8))

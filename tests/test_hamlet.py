@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.events import Event
 from repro.core.greta import run_greta
-from repro.core.hamlet import HamletSetEngine, run_hamlet_set
+from repro.core.hamlet import HamletPlan, run_hamlet_set
 from repro.core.queries import (
     AggSpec,
     Atom,
@@ -68,7 +68,7 @@ def _ev(t, et, v=0.0):
 
 
 def _mk_engine(qs, mode="static", pane=100.0):
-    return HamletSetEngine(qs, "B", mode=mode, pane=pane)
+    return HamletPlan(qs, "B", mode=mode, pane=pane).new_engine()
 
 
 Q1 = Query(qid="q1", elems=seq(Atom("A"), Kleene("B")))
@@ -136,12 +136,12 @@ def test_dynamic_splits_under_snapshot_pressure():
     q2 = Query(qid="q2", elems=seq(Atom("A"), Kleene("B")))
     q3 = Query(qid="q3", elems=seq(Atom("A"), Kleene("B")), edge_pred=EdgePred("v", "<="))
     evs = [_ev(0, "A")] + [_ev(1 + i, "B", (i * 7) % 10) for i in range(20)]
-    eng = HamletSetEngine([q1, q2, q3], "B", mode="dynamic", pane=5.0)
+    eng = HamletPlan([q1, q2, q3], "B", mode="dynamic", pane=5.0).new_engine()
     for e in evs:
         eng.on_event(e)
     eng.end_window()
     dyn_snaps = eng.m.snapshots_created
-    eng_s = HamletSetEngine([q1, q2, q3], "B", mode="static", pane=5.0)
+    eng_s = HamletPlan([q1, q2, q3], "B", mode="static", pane=5.0).new_engine()
     for e in evs:
         eng_s.on_event(e)
     eng_s.end_window()
@@ -170,12 +170,12 @@ def test_exact_counts_beyond_double_precision():
 
 def test_engine_rejects_query_without_kleene():
     with pytest.raises(ValueError):
-        HamletSetEngine([Query(qid="x", elems=seq(Atom("A"), Atom("B")))], "B")
+        HamletPlan([Query(qid="x", elems=seq(Atom("A"), Atom("B")))], "B")
 
 
 def test_engine_rejects_bad_mode():
     with pytest.raises(ValueError):
-        HamletSetEngine([Q1], "B", mode="sometimes")
+        HamletPlan([Q1], "B", mode="sometimes")
 
 
 def test_minmax_validation_rejects_non_end_type():
@@ -185,7 +185,7 @@ def test_minmax_validation_rejects_non_end_type():
         aggs=(AggSpec("MIN", "B", "v"),),  # B is not an end type here
     )
     with pytest.raises(ValueError):
-        HamletSetEngine([q], "B")
+        HamletPlan([q], "B")
 
 
 def test_engine_is_picklable_mid_stream():
@@ -335,7 +335,7 @@ def test_columns_equal_greta(k, mode):
     for seed in range(3):
         events = _bursty_events(seed)
         qs = _column_set(seed * 7 + k, k)
-        eng = HamletSetEngine(qs, "B", mode=mode, pane=100.0)
+        eng = HamletPlan(qs, "B", mode=mode, pane=100.0).new_engine()
         open_shared = eng._open_shared
 
         def record(sharers, open_shared=open_shared):
@@ -414,7 +414,7 @@ def test_kernel_equals_greta(k, mode):
     for seed in range(3):
         events = _bursty_events(seed)
         qs = _kernel_set(seed * 11 + k, k)
-        eng = HamletSetEngine(qs, "B", mode=mode, pane=100.0)
+        eng = HamletPlan(qs, "B", mode=mode, pane=100.0).new_engine()
         for e in events:
             eng.on_event(e)
         eng.end_window()
@@ -449,7 +449,7 @@ def test_counters_pinned(pool, mode):
     """``ops``, ``stored_events``, ``coeff_ops``, ``snapshots_created`` and
     ``peak_mem_bytes`` of a fixed 20-query set over a fixed input."""
     qs = (_column_set if pool == "column" else _kernel_set)(5, 20)
-    eng = HamletSetEngine(qs, "B", mode=mode, pane=100.0)
+    eng = HamletPlan(qs, "B", mode=mode, pane=100.0).new_engine()
     for e in _bursty_events(0):
         eng.on_event(e)
     eng.end_window()

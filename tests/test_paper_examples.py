@@ -9,7 +9,7 @@ import pytest
 from repro.core.brute import brute_results
 from repro.core.events import Event
 from repro.core.greta import CNT
-from repro.core.hamlet import HamletSetEngine, run_hamlet_set
+from repro.core.hamlet import HamletPlan, run_hamlet_set
 from repro.core.optimizer import BurstStats, CostModel, choose_plan
 from repro.core.queries import Atom, EdgePred, Kleene, Query, seq
 
@@ -35,7 +35,7 @@ def _stream_fig5ab():
 def _recording_engine(queries):
     """A static engine over ``queries`` plus the values of every snapshot
     it creates, by id, recorded from outside the engine."""
-    eng = HamletSetEngine(queries, "B", mode="static", pane=100.0)
+    eng = HamletPlan(queries, "B", mode="static", pane=100.0).new_engine()
     created = {}
     create = eng.S.create
 
@@ -51,7 +51,7 @@ def _recording_engine(queries):
 def test_table3_shared_propagation_doubles():
     """Table 3: counts within B3 are x, 2x, 4x, 8x — via the shared vector
     the engine's intermediate sums resolve to value(x,q)·{1,2,4,8}."""
-    eng = HamletSetEngine([Q1, Q2], "B", mode="static", pane=100.0)
+    eng = HamletPlan([Q1, Q2], "B", mode="static", pane=100.0).new_engine()
     for e in [_ev(0, "A"), _ev(1, "A"), _ev(2, "C")]:
         eng.on_event(e)
     counts_q1, counts_q2 = [], []

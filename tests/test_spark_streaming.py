@@ -183,21 +183,16 @@ def _fresh_copy(func):
     return cloudpickle.loads(cloudpickle.dumps(func))
 
 
-@pytest.mark.parametrize(
-    "system, cloudpickled",
-    [pytest.param(s, False, id=s) for s in ("hamlet", "hamlet-static", "hamlet-nonshared")]
-    + [pytest.param("hamlet", True, id="hamlet-cloudpickled")],
-)
-def test_stateful_func_equals_run_system(stream_pdf, workload, system, cloudpickled):
-    """Spark-free: one call per pane, the pickled state carried between
-    calls, then the flush row; rows must equal the in-process engine's.
+def _stub_rows(pdf, wl, system, window=WINDOW, cloudpickled=False):
+    """Spark-free: per key, one call per pane, the pickled state carried
+    between calls, then the flush row. Returns the streamed rows, the
+    in-process engine's rows, and the last key's pane count.
     ``cloudpickled``: every pane goes to a fresh cloudpickle copy of the
     function, so each state blob is read by another copy than wrote it."""
-    wl = workload + [_non_kleene()]
-    func = make_stateful_func(wl, system, WINDOW)
-    t_flush = (stream_pdf["time"].max() // WINDOW + 2) * WINDOW
+    func = make_stateful_func(wl, system, window)
+    t_flush = (pdf["time"].max() // window + 2) * window
     got, want = [], []
-    for gkey, grp in stream_pdf.groupby("gkey"):
+    for gkey, grp in pdf.groupby("gkey"):
         state = _StubGroupState()
         panes = [pane for _, pane in grp.groupby(grp["time"] // PANE)]
         panes.append(grp.iloc[[-1]].assign(time=t_flush, etype=FLUSH_TYPE))
@@ -213,7 +208,46 @@ def test_stateful_func_equals_run_system(stream_pdf, workload, system, cloudpick
     key = ["gkey", "window_start", "qid", "agg"]
     got = pd.concat([f for f in got if len(f)]).sort_values(key).reset_index(drop=True)
     want = pd.DataFrame(want, columns=OUT_COLS).sort_values(key).reset_index(drop=True)
-    assert got["qid"].eq("nk").any() and len(panes) >= 4
+    return got, want, len(panes)
+
+
+@pytest.mark.parametrize(
+    "system, cloudpickled",
+    [pytest.param(s, False, id=s) for s in ("hamlet", "hamlet-static", "hamlet-nonshared")]
+    + [pytest.param("hamlet", True, id="hamlet-cloudpickled")],
+)
+def test_stateful_func_equals_run_system(stream_pdf, workload, system, cloudpickled):
+    """The streamed rows equal the in-process engine's."""
+    wl = workload + [_non_kleene()]
+    got, want, n_panes = _stub_rows(stream_pdf, wl, system, cloudpickled=cloudpickled)
+    assert got["qid"].eq("nk").any() and n_panes >= 4
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+@pytest.mark.parametrize("system", ["sharon", "mcep"])
+def test_stateful_func_runs_baselines(stream_pdf, workload, system):
+    """SHARON and MCEP are window executors like the others: on a COUNT(*)
+    workload the streamed rows equal the in-process engine's."""
+    got, want, _ = _stub_rows(stream_pdf, workload, system, cloudpickled=True)
+    assert len(got)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+@pytest.mark.parametrize("system", ["greta", "hamlet", "sharon", "mcep"])
+def test_stateful_func_negative_times_equal_run_system(system):
+    """Events before time 0: the streamed windows, keyed by
+    ``int(t // window)``, are the batch engine's windows."""
+    q = Query(qid="q", elems=seq(Atom("A"), Kleene("B")), window=10.0, slide=10.0)
+    pdf = pd.DataFrame(
+        {
+            "time": [-15.0, -5.0, -3.0, 1.0, 2.0],
+            "etype": ["B", "A", "B", "A", "B"],
+            "gkey": 0,
+            **{c: 0.0 for c in ATTR_COLS},
+        }
+    )
+    got, want, _ = _stub_rows(pdf, [q], system, window=10.0)
+    assert set(want["window_start"]) == {-20.0, -10.0, 0.0}
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
