@@ -103,7 +103,7 @@ def fig12_fig13(scale: str = "full") -> list[dict]:
     """T12 (Fig. 12 latency/throughput) + T13 (Fig. 13 memory +
     snapshots): Hamlet dynamic vs static sharing on the stock stream
     with the diverse workload 2 (paper x-axes 2K–4K events/min ÷ ~20
-    and 20–100 queries)."""
+    and 20–100 queries), next to Hamlet's never-shared executor."""
     rows: list[dict] = []
     window = 60.0
     epm_list = [100, 125, 150, 175, 200] if scale == "full" else [100]
@@ -115,7 +115,9 @@ def fig12_fig13(scale: str = "full") -> list[dict]:
         pdf = stock_stream(minutes=minutes, events_per_min=epm, n_groups=n_groups,
                            burst_mean=30.0, p_kleene=0.55, seed=7)
         wl = workload2(k, kleene_type="T", windows=(window, 2 * window), seed=5)
-        for system, label in (("hamlet", "dynamic"), ("hamlet-static", "static")):
+        for system, label in (
+            ("hamlet", "dynamic"), ("hamlet-static", "static"), ("hamlet-nonshared", "nonshared")
+        ):
             rr = run_partitioned(pdf, wl, system)
             rows.append(
                 row(table="T12/T13", panel=panel, x_name=x_name, x=x, system=label, rr=rr)

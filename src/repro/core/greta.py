@@ -10,7 +10,7 @@ is exactly the cost Hamlet's shared graphlets avoid.
 
 Besides COUNT(*), linear channels propagate COUNT(E)/SUM/AVG through the
 same recurrence, so an event's value is one vector ``[count, channel_1,
-..., channel_m]`` (``zero``, ``add_into``; Hamlet uses the same layout).
+..., channel_m]`` (``zero``; Hamlet uses the same layout).
 MIN/MAX use a finalize-time reachability pass (an event contributes iff
 it participates in at least one complete trend).
 """
@@ -60,12 +60,6 @@ def zero(m: int) -> list:
     and Eq. 3: the count at index ``CNT`` is an exact int, the ``m``
     channels are floats."""
     return [0] + [0.0] * m
-
-
-def add_into(dst: list, src: Sequence) -> None:
-    """``dst += src``, entry by entry, for two value vectors."""
-    for i, v in enumerate(src):
-        dst[i] += v
 
 
 def aggregates(

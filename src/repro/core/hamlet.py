@@ -32,6 +32,11 @@ closing the graphlet resolves each coefficient vector for all of them at
 once (``SnapshotTable.resolve``). Only an edge-predicate query reads its
 Kleene predecessors per query, from its stored records.
 
+A burst event's unary predicates on the Kleene type are evaluated once,
+as the positions that fail them: the optimizer's match vectors and the
+cuts of the plan's cached tables read them, and the open graphlet holds
+positions only.
+
 Correctness contract (enforced by tests): for every query the final
 aggregates equal GRETA's and the brute-force enumeration's, for any
 interleaving of sharing decisions.
@@ -130,11 +135,6 @@ class _Kernel(NamedTuple):
             keep(self.neg), groups(self.cuts), keep(self.voids), {},
         )
 
-    def matching(self, e: Event) -> "_Kernel":
-        """These tables without the positions whose unary predicates ``e``
-        fails."""
-        return self.without({i for i, q in self.checks if not q.matches(e)})
-
 
 class HamletPlan:
     """The static part of one sharable set's execution: the workload
@@ -160,11 +160,10 @@ class HamletPlan:
         if mode not in ("dynamic", "static", "nonshared"):
             raise ValueError(mode)
         self.qs = tuple(queries)
-        self.by_qid = {q.qid: q for q in self.qs}
         # each query's position in every runtime column
         self.pos = {q.qid: i for i, q in enumerate(self.qs)}
         self.k = len(self.qs)
-        self.qids = tuple(sorted(self.by_qid))
+        self.qids = tuple(sorted(self.pos))
         self.E = kleene_type
         self.mode = mode
         self.pane = pane
@@ -216,12 +215,6 @@ class HamletPlan:
         self.p_avg = sum(
             len(self.tpls[q.qid].pt.get(self.E, ())) for q in self.qs
         ) / max(len(self.qs), 1)
-        # the queries whose Kleene-type match varies (predicates on E or edge
-        # predicates); for all others the burst match vector is constant-true
-        # and needs no per-event evaluation (workload-1 style queries)
-        self.kleene_pred_qids = (
-            frozenset(q.qid for _, q in ker.checks) | self.edge_pred_qids
-        )
 
     def _kernel(self, t: str, records: bool = True) -> _Kernel:
         """Event type ``t``'s kernel tables over every position whose
@@ -415,7 +408,8 @@ class HamletSetEngine:
         ker = p.kernels.get(e.etype)
         if ker is None:
             return
-        ker = ker.matching(e)
+        # the positions whose unary predicates ``e`` fails are cut
+        ker = ker.without({i for i, q in ker.checks if not q.matches(e)})
         if not ker.idx and not ker.neg:
             return
         self._flush_burst()
@@ -446,13 +440,17 @@ class HamletSetEngine:
             return
         p = self.plan
         burst, self.burst = self.burst, []
+        # each event's unary predicates on E, evaluated once: the positions
+        # that fail them. The match vectors and both cuts below read them
+        checks = p.kernels[p.E].checks
+        if checks:
+            fails = [frozenset(i for i, q in checks if not q.matches(ev)) for ev in burst]
+        else:
+            fails = [frozenset()] * len(burst)
         stats = BurstStats(
             b=len(burst),
             qids=p.qids,
-            match_vectors={
-                qid: tuple(p.by_qid[qid].matches(ev) for ev in burst)
-                for qid in p.kleene_pred_qids
-            },
+            match_vectors={q.qid: tuple(i not in f for f in fails) for i, q in checks},
             edge_pred_qids=p.edge_pred_qids,
         )
         cur = self.shared["sharers"] if self.shared else frozenset()
@@ -479,24 +477,20 @@ class HamletSetEngine:
                 self.m.merges += 1 if cur else 0
                 self._open_shared(decision.shared)
         # E's kernel tables at the sharers' positions (without and with
-        # stored records) and at the non-sharers', once per burst
+        # stored records) and at the non-sharers', once per burst; each
+        # event then cuts the positions it fails
         shared = self.shared
         rest = p.kernels[p.E]
         if shared is not None:
-            plain, recd = p.e_plain, p.e_recd
-            if shared["idx"] is None:
-                rest = None
-            else:
-                out = frozenset(range(p.k)).difference(shared["idx"])
-                plain, recd = plain.without(out), recd.without(out)
-                rest = rest.without(frozenset(shared["idx"]))
-            checks = plain.checks + recd.checks
-        for ev in burst:
+            out = shared["out"]
+            plain, recd = p.e_plain.without(out), p.e_recd.without(out)
+            rest = rest.without(p.e_open.without(out).idx) if out else None
+        for ev, failed in zip(burst, fails):
             if shared is not None:
-                self._process_shared_event(ev, plain, recd, checks)
+                self._process_shared_event(ev, plain, recd, failed - out)
             if rest is not None:
                 # the non-sharers, each on its own totals (Eq. 2)
-                ker = rest.matching(ev)
+                ker = rest.without(failed)
                 if ker.idx:
                     self._keep(ev, ker, self._eq2(ev, ker))
         self.n_so_far += len(burst)
@@ -516,10 +510,9 @@ class HamletSetEngine:
         self.m.snapshots_created += 1
         self.shared = {
             "sharers": sharers,
-            # the sharers' positions, and those whose templates end at E
-            # (None: every position)
-            "idx": ker.idx if out else None,
-            "ends": None if len(ker.ends) == p.k else ker.ends,
+            # the non-sharers' positions: the plan's tables cut by them are
+            # the graphlet's (kernel tables stay out of the runtime state)
+            "out": out,
             "entry": sid,
             # the events so far, one coefficient vector per value index
             "run": [{} for _ in range(1 + p.nch)],
@@ -544,20 +537,21 @@ class HamletSetEngine:
         run = sh["run"]
         vals = [self.S.resolve(v, p.one) for v in run]
         self.m.ops += len(sh["sharers"]) * len(run[CNT])
-        _add_at(self.totals[p.E], vals, sh["idx"])
-        _add_at(self.res, vals, sh["ends"])
+        ker = p.e_open.without(sh["out"])
+        _add_at(self.totals[p.E], vals, ker.idx)
+        _add_at(self.res, vals, ker.ends)
         self.shared = None
         self.S.gc()
 
     def _process_shared_event(
-        self, e: Event, plain: _Kernel, recd: _Kernel, checks: tuple
+        self, e: Event, plain: _Kernel, recd: _Kernel, failed: frozenset
     ) -> None:
         """One burst event in the open graphlet. ``plain`` and ``recd`` are
         E's kernel tables at the sharers without and with stored records,
-        and ``checks`` their unary predicates on E."""
+        and ``failed`` the sharers' positions whose unary predicates on E
+        ``e`` fails."""
         p = self.plan
         sh = self.shared
-        failed = {i for i, q in checks if not q.matches(e)}
         if failed:
             plain, recd = plain.without(failed), recd.without(failed)
             if not plain.idx and not recd.idx:
@@ -652,11 +646,11 @@ class HamletSetEngine:
 
 def _add_at(dst: list[list], src: Sequence[Sequence], idx) -> None:
     """``dst[c][i] += src[c][i]`` for every value index ``c`` and every
-    position ``i`` in ``idx`` (``None``: every position)."""
-    if idx is not None and not idx:
+    position ``i`` in ``idx``."""
+    if not idx:
         return
     for d, s in zip(dst, src):
-        if idx is None or len(idx) == len(d):
+        if len(idx) == len(d):
             d[:] = [a + b for a, b in zip(d, s)]
         else:
             for i in idx:

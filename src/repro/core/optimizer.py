@@ -54,8 +54,11 @@ class BurstStats:
     """Statistics of one complete burst, gathered by the executor before
     deciding (Definition 10/11): per-query match bit-vectors over the
     burst plus which queries carry Kleene edge predicates (those diverge
-    on every event — Definition 9). A query absent from
-    ``match_vectors`` matches every event of the burst."""
+    on every event — Definition 9, so their vectors are never read). A
+    query absent from ``match_vectors`` matches every event of the burst:
+    Hamlet builds vectors only for the queries with a unary predicate on
+    the Kleene type, from the same per-event predicate failures its burst
+    execution reads."""
 
     b: int
     qids: tuple  # every member query, sorted

@@ -39,7 +39,7 @@ def test_fig11_rows():
 
 def test_fig12_rows_dynamic_wins():
     rows = fig12_fig13("small")
-    assert {r["system"] for r in rows} == {"dynamic", "static"}
+    assert {r["system"] for r in rows} == {"dynamic", "static", "nonshared"}
     dyn = [r for r in rows if r["system"] == "dynamic"]
     sta = [r for r in rows if r["system"] == "static"]
     # the headline claims, on deterministic counters (wall-clock is asserted

@@ -456,3 +456,30 @@ def test_counters_pinned(pool, mode):
     m = eng.m
     got = (m.ops, m.stored_events, m.coeff_ops, m.snapshots_created, m.peak_mem_bytes)
     assert got == _PINNED_COUNTERS[pool, mode]
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+def test_kleene_predicates_evaluated_once_per_event(mode, monkeypatch):
+    """Each burst event's unary predicates on the Kleene type are evaluated
+    once, for the sharing decision and the execution alike: ``matches``
+    runs once per (B event, query with a predicate on B), and never for a
+    query whose only divergence is an edge predicate."""
+    qs = _column_set(5, 20)
+    pred = {q.qid for q in qs if q.where.get("B")}
+    edge_only = {q.qid for q in qs if q.edge_pred and not q.where.get("B")}
+    assert pred and edge_only
+    calls = {}
+    matches = Query.matches
+
+    def counted(q, e):
+        if e.etype == "B":
+            calls[q.qid, e.time] = calls.get((q.qid, e.time), 0) + 1
+        return matches(q, e)
+
+    monkeypatch.setattr(Query, "matches", counted)
+    events = _bursty_events(0)
+    eng = HamletPlan(qs, "B", mode=mode, pane=100.0).new_engine()
+    for e in events:
+        eng.on_event(e)
+    eng.end_window()
+    assert calls == {(qid, e.time): 1 for qid in pred for e in events if e.etype == "B"}

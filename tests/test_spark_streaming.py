@@ -12,7 +12,7 @@ from pyspark.sql.streaming import DataStreamWriter, StreamingQueryListener
 
 from repro.core.brute import brute_results
 from repro.core.engine import run_system, window_executors
-from repro.core.events import events_from_pandas
+from repro.core.events import Event, events_from_pandas
 from repro.core.queries import Atom, Kleene, Query, seq
 from repro.core.snapshots import ONE_ID
 from repro.core.workloads import workload1
@@ -20,6 +20,7 @@ from repro.sparkrt.batch import run_workload_spark
 from repro.sparkrt.streaming import (
     FLUSH_TYPE,
     OUT_COLS,
+    _dump_state,
     _load_state,
     _static_objects,
     make_stateful_func,
@@ -251,26 +252,47 @@ def test_stateful_func_negative_times_equal_run_system(system):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
+def _global_names(blob: bytes) -> set:
+    """The module and object names of every global a pickle refers to."""
+    names = set()
+    for op, arg, _ in pickletools.genops(blob):
+        if op.name in ("GLOBAL", "INST"):
+            names.update(arg.split(" "))
+        elif isinstance(arg, str):  # STACK_GLOBAL's names are pushed as strings
+            names.add(arg)
+    return names
+
+
 @pytest.mark.parametrize("system", ["greta", "hamlet"])
 def test_state_blob_holds_no_query_definitions(stream_pdf, system):
     """The group state holds runtime aggregates only: the executor plans,
     queries and templates are tokens that each copy of the function maps
-    to its own objects. Checked on a blob written by a cloudpickled copy
-    while windows are open, for 50 shared queries plus a non-Kleene one."""
+    to its own objects, and kernel tables stay in the plans. Checked on a
+    blob written by a cloudpickled copy while windows are open, for 50
+    shared queries plus a non-Kleene one, and on a blob written while a
+    burst that spans a pane boundary keeps Hamlet's shared graphlet open."""
     wl = workload1(50, kleene_type="T", window=WINDOW, slide=WINDOW) + [_non_kleene()]
     func = make_stateful_func(wl, system, WINDOW)
     grp = stream_pdf[stream_pdf["gkey"] == stream_pdf["gkey"].iloc[0]]
     state = _StubGroupState()
     for _, pane in grp.groupby(grp["time"] // PANE):
         list(_fresh_copy(func)((0,), iter([pane]), state))
-    names = set()
-    for op, arg, _ in pickletools.genops(state.get[0]):
-        if op.name in ("GLOBAL", "INST"):
-            names.add(arg.split(" ")[0])
-        elif isinstance(arg, str):  # STACK_GLOBAL's module is pushed as a string
-            names.add(arg)
+    names = _global_names(state.get[0])
     assert "repro.core.greta" in names  # open windows' engines are in the blob
-    assert not names & {"repro.core.queries", "repro.core.template"}
+    assert not names & {"repro.core.queries", "repro.core.template", "_Kernel"}
+    # A tumbling window is its own pane, so the operator's graphlets close
+    # within a call; a sliding workload's engines have 10-s panes, and
+    # their state is written the operator's way mid-graphlet
+    wl = workload1(50, kleene_type="T", window=WINDOW, slide=PANE)
+    plans = [plan for _, _, plan in window_executors(wl, system)]
+    engines = [plan.new_engine() for plan in plans]
+    for t in (1.0, *range(2, 10), *range(11, 19)):
+        for eng in engines:
+            eng.on_event(Event(float(t), "T" if t > 1 else "R", {}))
+    if system == "hamlet":
+        assert all(eng.shared for eng in engines)
+    names = _global_names(_dump_state({"engines": {0: engines}}, _static_objects(plans)))
+    assert not names & {"repro.core.queries", "repro.core.template", "_Kernel"}
 
 
 def test_state_blob_holds_no_one_snapshot(stream_pdf):
