@@ -36,10 +36,9 @@ def row(
     x,
     system: str,
     rr: RunResult,
-    extra: dict | None = None,
 ) -> dict:
     m = rr.metrics
-    d = {
+    return {
         "table": table,
         "panel": panel,
         "x_name": x_name,
@@ -52,9 +51,6 @@ def row(
         "shared_burst_pct": (100.0 * m.shared_bursts / m.bursts) if m.bursts else 0.0,
         "modelled": rr.modelled,
     }
-    if extra:
-        d.update(extra)
-    return d
 
 
 def to_markdown(rows: Sequence[dict], columns: Sequence[str]) -> str:

@@ -190,7 +190,7 @@ def window_executors(
         plan = HamletPlan(s.queries, s.etype, mode=_MODES[system], pane=s.pane)
         entries.append((s.queries[0].window, s.queries[0].slide, plan))
     for q in singles:
-        kts = sorted(q.kleene_types())
+        kts = sorted(build_template(q).kleene)
         pane = pane_size([q.window, q.slide])
         plan = HamletPlan((q,), kts[0], mode="nonshared", pane=pane) if kts else GretaPlan((q,))
         entries.append((q.window, q.slide, plan))

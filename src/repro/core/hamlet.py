@@ -23,13 +23,15 @@ negation cuts, Eq. 3 results, snapshot values) holds one *column* per
 value index ``c``, with query ``i``'s entry at position ``i``
 (``HamletPlan.pos``). Eq. 2 runs over positions, not queries: one kernel
 (``_eq2``, ``_keep``), driven by the plan's per-type tables (``_Kernel``),
-makes one pass per predecessor edge, adds the start and own-channel terms,
-and stores the event into its type's totals and the end positions'
-results. Non-Kleene events and a burst's non-sharers run it, and a
-negative event copies the totals into the cuts at its positions. A shared
-graphlet's entry snapshot is the same predecessor pass over the sharers;
-closing the graphlet resolves each coefficient vector for all of them at
-once (``SnapshotTable.resolve``). Only an edge-predicate query reads its
+makes one pass per transition, adds the start and own-channel terms, and
+stores the event into its type's totals and the end positions' results.
+The tables are the paper's merged template (Fig. 3(b)): a transition is
+one entry, labelled with the positions that share it. Non-Kleene events
+and a burst's non-sharers run the kernel, and a negative event copies the
+totals into the cuts at its positions. A shared graphlet's entry
+snapshot is the same predecessor pass over the sharers; closing it
+resolves each coefficient vector for all of them at once
+(``SnapshotTable.resolve``). Only an edge-predicate query reads its
 Kleene predecessors per query, from its stored records.
 
 A burst event's unary predicates on the Kleene type are evaluated once,
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .events import Event
@@ -93,7 +94,7 @@ class _Kernel(NamedTuple):
     ``_keep``) and what a negative event of the type copies."""
 
     idx: tuple  # the positions that take the type as a pattern event
-    edges: tuple  # (ptype, blocker, positions) per predecessor edge
+    edges: tuple  # (ptype, blocker, positions) per transition into the type
     recs: tuple  # (position, krecs key, edge predicate): same-type records
     starts: tuple  # the positions whose templates start at the type
     ends: tuple  # the positions whose templates end at the type
@@ -203,12 +204,6 @@ class HamletPlan:
         self.edge_pred_qids = frozenset(q.qid for q in self.qs if q.edge_pred)
         # an edge-predicate query's stored records, one list per Kleene type
         self.krec_keys = tuple(r[1] for ker in self.kernels.values() for r in ker.recs)
-        # the MIN/MAX aggregates of each query that has any
-        self.minmax_names = {
-            q.qid: names
-            for q in self.qs
-            if (names := tuple(a.name for a in q.aggs if a.fn in ("MIN", "MAX")))
-        }
         # the per-type totals never gain a key, so the memory estimate counts
         # them once
         self.totals_entries = sum(len(t.types) for t in self.tpls.values())
@@ -230,11 +225,12 @@ class HamletPlan:
             if records and q.edge_pred and t in tpl.kleene
         )
         with_recs = {r[0] for r in recs}
+        # one entry per transition (Fig. 3(b)), labelled with its positions
         edges: dict[tuple, list[int]] = {}
         for i, _, tpl in pos:
-            for j, edge in enumerate(tpl.pt.get(t, ())):
+            for edge in tpl.pt.get(t, ()):
                 if i not in with_recs or edge.ptype != t:
-                    edges.setdefault((j, edge.ptype, edge.blocker), []).append(i)
+                    edges.setdefault((edge.ptype, edge.blocker), []).append(i)
         cuts: dict[tuple, list[int]] = {}
         for i, _, tpl in neg:
             blocked = (x.ptype for es in tpl.pt.values() for x in es if x.blocker == t)
@@ -242,8 +238,8 @@ class HamletPlan:
                 cuts.setdefault((ptype, t), []).append(i)
         return _Kernel(
             tuple(i for i, _, _ in pos),
-            # in each template's own edge order
-            tuple((pt, b, tuple(edges[j, pt, b])) for j, pt, b in sorted(edges, key=itemgetter(0))),
+            # sorted as ``build_template`` sorts ``pt``: each position sums in its own order
+            tuple((pt, b, tuple(edges[pt, b])) for pt, b in sorted(edges, key=lambda e: (e[0], e[1] or ""))),
             recs,
             tuple(i for i, _, tpl in pos if t in tpl.start),
             tuple(i for i, _, tpl in pos if t in tpl.end),
@@ -310,9 +306,9 @@ class HamletSetEngine:
         # the Eq. 3 sum over end events; under a trailing negation it is
         # pending, and a later matched negative event voids it
         self.res: list[list] = plan.zero_columns()
-        self.mm: dict[str, dict[str, list]] = {
-            qid: {name: [math.inf, -math.inf] for name in names}
-            for qid, names in plan.minmax_names.items()
+        # (qid, name) -> [min, max]: a MIN/MAX is on an end type, in one kernel
+        self.mm: dict[tuple, list] = {
+            (qid, name): [math.inf, -math.inf] for ker in plan.kernels.values() for _, qid, name, _ in ker.mm
         }
         # shared graphlet state --------------------------------------------
         self.shared: Optional[dict] = None
@@ -324,8 +320,8 @@ class HamletSetEngine:
     # -- the Eq. 2 kernel ------------------------------------------------
     def _preds(self, edges: Sequence) -> list[list]:
         """Eq. 2's predecessor sums at the edges' positions (zero
-        elsewhere): one pass per predecessor edge over its positions, each
-        type's totals less their negation cut."""
+        elsewhere): one pass per transition over the positions that share
+        it, each type's totals less their negation cut."""
         cols = self.plan.zero_columns()
         for ptype, blocker, at in edges:
             self.m.ops += len(at)
@@ -387,7 +383,7 @@ class HamletSetEngine:
         """Fold ``e`` into the MIN/MAX slots of the (position, qid, name,
         attr) entries."""
         for _, qid, name, attr in entries:
-            v, slot = e.attrs.get(attr, 0.0), self.mm[qid][name]
+            v, slot = e.attrs.get(attr, 0.0), self.mm[qid, name]
             slot[:] = min(slot[0], v), max(slot[1], v)
 
     # -- event routing --------------------------------------------------
@@ -441,7 +437,8 @@ class HamletSetEngine:
         p = self.plan
         burst, self.burst = self.burst, []
         # each event's unary predicates on E, evaluated once: the positions
-        # that fail them. The match vectors and both cuts below read them
+        # that fail them. Both cuts below read them, and so do the match
+        # vectors, which only the dynamic optimizer reads
         checks = p.kernels[p.E].checks
         if checks:
             fails = [frozenset(i for i, q in checks if not q.matches(ev)) for ev in burst]
@@ -450,7 +447,8 @@ class HamletSetEngine:
         stats = BurstStats(
             b=len(burst),
             qids=p.qids,
-            match_vectors={q.qid: tuple(i not in f for f in fails) for i, q in checks},
+            match_vectors={q.qid: tuple(i not in f for f in fails) for i, q in checks}
+            if p.mode == "dynamic" else {},
             edge_pred_qids=p.edge_pred_qids,
         )
         cur = self.shared["sharers"] if self.shared else frozenset()
@@ -498,8 +496,8 @@ class HamletSetEngine:
 
     def _open_shared(self, sharers: frozenset) -> None:
         """Open a shared graphlet: its entry snapshot holds each sharer's
-        Eq. 2 predecessor sum for ``E``, one pass per predecessor edge over
-        the sharers' positions."""
+        Eq. 2 predecessor sum for ``E``, one pass per transition over the
+        sharers' positions."""
         p = self.plan
         out = frozenset()
         if len(sharers) < p.k:
@@ -633,7 +631,7 @@ class HamletSetEngine:
             extremes = {}
             for a in q.aggs:
                 if a.fn in ("MIN", "MAX"):
-                    lo, hi = self.mm[qid][a.name]
+                    lo, hi = self.mm[qid, a.name]
                     v = lo if a.fn == "MIN" else hi
                     extremes[a.name] = v if math.isfinite(v) else math.nan
             vals = [col[i] for col in self.res]

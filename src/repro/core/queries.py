@@ -156,19 +156,6 @@ class Query:
         preds = self.where.get(e.etype, ())
         return all(p.ok(e) for p in preds)
 
-    def kleene_types(self) -> frozenset[str]:
-        out: set[str] = set()
-
-        def walk(elems):
-            for el in elems:
-                if isinstance(el, Kleene):
-                    out.add(el.etype)
-                elif isinstance(el, GroupKleene):
-                    walk(el.elems)
-
-        walk(self.elems)
-        return frozenset(out)
-
 
 def seq(*elems: PatternElem) -> tuple:
     """Readable constructor: ``seq(Atom('A'), Kleene('B'))``."""

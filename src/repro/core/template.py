@@ -3,15 +3,17 @@
 A *query template* is the FSA-flavoured summary of one pattern: which
 event types appear, which types start/end trends, and the predecessor
 type relation ``pt(E, q)`` with optional negation blockers on
-transitions. The *merged template* overlays all queries in the workload
-and labels each transition with the queries it belongs to (Fig. 3(b) /
-Fig. 8). Workload analysis finds sharable Kleene sub-patterns
-(Definition 4), groups sharable queries (Definition 5), and computes the
-pane size (gcd of windows and slides).
+transitions. Its ``kleene`` types are the pattern's Kleene sub-patterns
+(Definition 4), nested ones included. The paper's *merged template*
+(Fig. 3(b)), each transition labelled with the queries that share it, is
+the sharable set's kernel tables (``hamlet.HamletPlan.kernels``): one
+predecessor edge per transition, labelled with the positions that take
+it. Workload analysis groups sharable queries (Definition 5) and computes
+the pane size (gcd of windows and slides).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Optional, Sequence
@@ -175,42 +177,6 @@ def _first_positive_types(elems: Sequence) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Merged workload template (Fig. 3(b), Fig. 8)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MergedTemplate:
-    """Workload-wide template: transition -> set of qids it holds for."""
-
-    transitions: Mapping[tuple, frozenset]  # (ptype, etype) -> qids
-    type_queries: Mapping[str, frozenset]  # etype -> qids whose pattern uses it
-    templates: Mapping[str, Template]  # qid -> per-query template
-
-    def queries_on(self, ptype: str, etype: str) -> frozenset:
-        return self.transitions.get((ptype, etype), frozenset())
-
-
-def merge_templates(workload: Sequence[Query]) -> MergedTemplate:
-    transitions: dict[tuple, set[str]] = {}
-    type_queries: dict[str, set[str]] = {}
-    templates: dict[str, Template] = {}
-    for q in workload:
-        tpl = build_template(q)
-        templates[q.qid] = tpl
-        for t in tpl.types:
-            type_queries.setdefault(t, set()).add(q.qid)
-        for etype, edges in tpl.pt.items():
-            for edge in edges:
-                transitions.setdefault((edge.ptype, etype), set()).add(q.qid)
-    return MergedTemplate(
-        transitions={k: frozenset(v) for k, v in transitions.items()},
-        type_queries={k: frozenset(v) for k, v in type_queries.items()},
-        templates=templates,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Sharable queries (Definitions 4 & 5) and pane size
 # ---------------------------------------------------------------------------
 
@@ -245,10 +211,6 @@ class SharableSet:
     queries: tuple
     pane: float
 
-    @property
-    def qids(self) -> tuple:
-        return tuple(q.qid for q in self.queries)
-
 
 def pane_size(windows_and_slides: Iterable[float]) -> float:
     """gcd of window sizes and slides, computed over exact rationals so
@@ -273,7 +235,7 @@ def sharable_sets(workload: Sequence[Query]) -> tuple[list[SharableSet], list[Qu
     buckets: dict[tuple, list[Query]] = {}
     no_kleene: list[Query] = []
     for q in workload:
-        kts = sorted(q.kleene_types())
+        kts = sorted(build_template(q).kleene)
         if not kts:
             no_kleene.append(q)
             continue

@@ -483,3 +483,40 @@ def test_kleene_predicates_evaluated_once_per_event(mode, monkeypatch):
         eng.on_event(e)
     eng.end_window()
     assert calls == {(qid, e.time): 1 for qid in pred for e in events if e.etype == "B"}
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+def test_kernel_view_cache_evicts(mode):
+    """More distinct predicate failures than a table set keeps views: its
+    cache is cleared at ``_MAX_VIEWS`` and rebuilt, and the results stay
+    GRETA's."""
+    from repro.core.greta import GretaState
+    from repro.core.hamlet import _MAX_VIEWS
+
+    rng = random.Random(14)
+    qs = [
+        Query(qid=f"q{i}", elems=seq(Atom("A"), Kleene("B")), where={"B": (Pred(f"b{i}", "==", 1.0),)})
+        for i in range(6)
+    ]
+    events = [
+        Event(t, "A", {}) if t % 12 == 0 else Event(t, "B", {f"b{i}": float(rng.randint(0, 1)) for i in range(6)})
+        for t in range(300)
+    ]
+    fails = {frozenset(i for i in range(6) if e.attrs[f"b{i}"] != 1.0) for e in events if e.etype == "B"}
+    assert len(fails) > _MAX_VIEWS
+    plan = HamletPlan(qs, "B", mode=mode, pane=1000.0)
+    eng = plan.new_engine()
+    for e in events:
+        eng.on_event(e)
+    eng.end_window()
+    counts = eng.exact_counts()
+    for q in qs:
+        ref = GretaState(q)
+        for e in events:
+            ref.on_event(e)
+        assert counts[q.qid] == ref.exact_count(), q.qid
+    tables = [*plan.kernels.values(), plan.e_open, plan.e_plain, plan.e_recd]
+    while tables:
+        ker = tables.pop()
+        assert len(ker.views) <= _MAX_VIEWS
+        tables += ker.views.values()

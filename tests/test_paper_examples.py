@@ -105,17 +105,20 @@ def test_table5_event_snapshot_z():
 
 
 def test_paper_examples_job_prints_table4(capsys):
-    """jobs/paper_examples.py prints Table 4's values in its "ours" column."""
+    """jobs/paper_examples.py prints the values of Tables 3-5 and Fig. 7 in
+    its "ours" column, equal to the paper's."""
     path = Path(__file__).resolve().parents[1] / "jobs" / "paper_examples.py"
     spec = importlib.util.spec_from_file_location("paper_examples", path)
     job = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(job)
     job.main()
-    rows = [line.split("|") for line in capsys.readouterr().out.splitlines()]
-    ours = {
-        c[1].strip(): c[3].strip() for c in rows if len(c) == 4 and c[1].strip() in ("x", "y")
-    }
-    assert ours == {"x": "(2, 1)", "y": "(34, 19)"}
+    rows = [[c.strip() for c in line.split("|")] for line in capsys.readouterr().out.splitlines()]
+    ours = {(c[0], c[1]): c[3] for c in rows[1:]}
+    assert ours["Table 3", "B3 run sum, q1"] == "2/6/14/30"
+    assert ours["Table 4", "x"] == "(2, 1)" and ours["Table 4", "y"] == "(34, 19)"
+    assert ours["Table 5", "z"] == "(8, 2)" and ours["Table 5", "y"] == "(34, 15)"
+    assert ours["Fig. 7", "plans for m = 2"] == "3"
+    assert all(c[2] == c[3] for c in rows[1:] if c[0] != "Fig. 7")
 
 
 COST = CostModel()

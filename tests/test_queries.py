@@ -13,6 +13,7 @@ from repro.core.queries import (
     Query,
     seq,
 )
+from repro.core.template import build_template
 
 
 @pytest.mark.parametrize(
@@ -58,9 +59,9 @@ def test_query_matches_applies_per_type_predicates():
 
 def test_kleene_types_simple_and_nested():
     q = Query(qid="q", elems=seq(Atom("A"), Kleene("B")))
-    assert q.kleene_types() == frozenset({"B"})
+    assert build_template(q).kleene == frozenset({"B"})
     q2 = Query(qid="q2", elems=seq(GroupKleene(seq(Atom("A"), Kleene("B")))))
-    assert q2.kleene_types() == frozenset({"B"})
+    assert build_template(q2).kleene == frozenset({"B"})
 
 
 def test_query_identity_is_qid():

@@ -1,7 +1,8 @@
-"""Template construction, merged workload template, workload analysis
-(paper §3.1, Examples 2/3/10, Definitions 4/5)."""
+"""Template construction, the merged template as a plan's kernel tables,
+workload analysis (paper §3.1, Examples 2/3/10, Definitions 4/5)."""
 import pytest
 
+from repro.core.hamlet import HamletPlan
 from repro.core.queries import (
     AggSpec,
     Atom,
@@ -16,7 +17,6 @@ from repro.core.template import (
     PtEdge,
     agg_signature,
     build_template,
-    merge_templates,
     pane_size,
     sharable_sets,
 )
@@ -85,14 +85,17 @@ def test_empty_pattern_rejected():
 
 
 def test_merged_template_example3():
-    """Fig. 3(b): B→B transition labeled by both queries."""
+    """Fig. 3(b): the plan's B table is the merged template. Each transition
+    into B is one edge, labelled with the queries that share it; B→B is
+    labelled by both."""
     q1 = Query(qid="q1", elems=seq(Atom("A"), Kleene("B")))
     q2 = Query(qid="q2", elems=seq(Atom("C"), Kleene("B")))
-    mt = merge_templates([q1, q2])
-    assert mt.queries_on("B", "B") == frozenset({"q1", "q2"})
-    assert mt.queries_on("A", "B") == frozenset({"q1"})
-    assert mt.queries_on("C", "B") == frozenset({"q2"})
-    assert mt.type_queries["B"] == frozenset({"q1", "q2"})
+    plan = HamletPlan([q1, q2], "B")
+    ker = plan.kernels["B"]
+    labels = {(pt, b): {plan.qs[i].qid for i in at} for pt, b, at in ker.edges}
+    assert len(ker.edges) == len(labels) == 3
+    assert labels == {("A", None): {"q1"}, ("B", None): {"q1", "q2"}, ("C", None): {"q2"}}
+    assert {plan.qs[i].qid for i in ker.idx} == {"q1", "q2"}
 
 
 @pytest.mark.parametrize(
@@ -117,7 +120,7 @@ def test_sharable_sets_groups_same_signature():
     qs = [_q("a"), _q("b", prefix="C"), _q("c", prefix="D")]
     sets, singles = sharable_sets(qs)
     assert len(sets) == 1 and len(singles) == 0
-    assert sets[0].etype == "B" and set(sets[0].qids) == {"a", "b", "c"}
+    assert sets[0].etype == "B" and {q.qid for q in sets[0].queries} == {"a", "b", "c"}
 
 
 def test_sharable_sets_split_by_window():
@@ -137,7 +140,7 @@ def test_sharable_sets_split_by_aggregate_class():
         _q("max2", aggs=(AggSpec("MAX", "B", "v"),)),
     ]
     sets, singles = sharable_sets(qs)
-    by_members = {frozenset(s.qids) for s in sets}
+    by_members = {frozenset(q.qid for q in s.queries) for s in sets}
     assert frozenset({"cnt1", "cnt2"}) in by_members
     assert frozenset({"sum1", "avg1"}) in by_members
     assert frozenset({"max1", "max2"}) in by_members
