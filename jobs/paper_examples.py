@@ -17,7 +17,7 @@ def _snapshots(queries, evs) -> list:
     """Run a static engine over ``evs``; return the (q1, q2) counts of every
     snapshot it creates, in creation order (a closed graphlet's snapshots
     are dropped, so they are recorded as they are made)."""
-    eng = HamletPlan(queries, "B", mode="static", pane=100.0).new_engine()
+    eng = HamletPlan(queries, mode="static").new_engine()
     vals = []
     create = eng.S.create
 
@@ -42,7 +42,7 @@ def main() -> None:
 
     # Table 3: q1's running count in the shared graphlet B3 after each of
     # b3..b6 (x, 2x, 4x, 8x with x = 2)
-    eng = HamletPlan([q1, q2], "B", mode="static", pane=100.0).new_engine()
+    eng = HamletPlan([q1, q2], mode="static").new_engine()
     for e in prefix:
         eng.on_event(e)
     sums = []

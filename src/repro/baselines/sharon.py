@@ -95,11 +95,12 @@ class SharonPlan:
         for e in evs:
             for (owner, steps), arr in per_pattern.items():
                 # predicate context: shared patterns ('' owner) have no
-                # predicates; owned patterns use their query's where
-                qref = q_by_id[owners[(owner, steps)][0]]
+                # predicates; owned patterns use their query's where, once
+                # per (event, pattern)
+                matched = q_by_id[owners[(owner, steps)][0]].matches(e)
                 for j in range(len(steps), 0, -1):
                     ops += 1
-                    if steps[j - 1] == e.etype and qref.matches(e):
+                    if matched and steps[j - 1] == e.etype:
                         arr[j] += arr[j - 1]
         counts = {q.qid: 0 for q in qs}
         for key, arr in per_pattern.items():

@@ -13,7 +13,9 @@ system:
 ``window_executors`` is the one map from a system to the engines that
 evaluate a window instance: it builds each entry's static plan once, and
 ``run_system`` and the Spark streaming operator both drive the plans'
-engines, the same way for all six systems.
+engines, the same way for all six systems. Under the three Hamlet systems
+every query runs on a ``HamletPlan`` (one per sharable set); ``GretaPlan``
+serves ``greta`` only.
 
 Windows: each (window, slide) signature is evaluated per window
 *instance* (DESIGN.md substitution: cross-window pane sharing is prior
@@ -36,7 +38,7 @@ from .events import Event
 from .greta import GretaState
 from .hamlet import HamletPlan, Metrics
 from .queries import Query
-from .template import build_template, pane_size, sharable_sets
+from .template import build_template, sharable_sets
 
 
 @dataclass
@@ -168,8 +170,8 @@ def window_executors(
     ``plan.new_engine()`` builds a fresh engine (``on_event``,
     ``end_window``, ``results``, ``.m``) for one window instance. The
     baselines get one plan per (window, slide) signature; the Hamlet
-    systems one per sharable set (§3.1) and one per leftover query, run
-    non-shared (on GRETA if it has no Kleene type).
+    systems one :class:`HamletPlan` per sharable set (§3.1), a query that
+    shares with no other being a set of one.
     """
     if system not in SYSTEMS:
         raise ValueError(
@@ -184,17 +186,8 @@ def window_executors(
             sigs.setdefault((q.window, q.slide), []).append(q)
         plan = _BASELINES[system]
         return [(w, s, plan(qs, sharon_l, mcep_max_trends)) for (w, s), qs in sigs.items()]
-    sets, singles = sharable_sets(workload)
-    entries = []
-    for s in sets:
-        plan = HamletPlan(s.queries, s.etype, mode=_MODES[system], pane=s.pane)
-        entries.append((s.queries[0].window, s.queries[0].slide, plan))
-    for q in singles:
-        kts = sorted(build_template(q).kleene)
-        pane = pane_size([q.window, q.slide])
-        plan = HamletPlan((q,), kts[0], mode="nonshared", pane=pane) if kts else GretaPlan((q,))
-        entries.append((q.window, q.slide, plan))
-    return entries
+    mode = _MODES[system]
+    return [(qs[0].window, qs[0].slide, HamletPlan(qs, mode=mode)) for qs in sharable_sets(workload)]
 
 
 def run_system(

@@ -14,9 +14,13 @@ choose different sharer sets: the active graphlet is resolved
 paper's consolidation snapshot ``z``.
 
 The set's static analysis (templates, channels, per-type tables) is a
-:class:`HamletPlan`, built once; each window instance's engine shares it
-and allocates only runtime state (totals, snapshots, the open graphlet,
-results).
+:class:`HamletPlan`, built once from the queries alone; each window
+instance's engine shares it and allocates only runtime state (totals,
+snapshots, the open graphlet, results). The plan derives the shared
+Kleene type ``E`` (the smallest one all its queries have) and the pane
+(the gcd of their windows and slides). A set of one query, or of queries
+without a common Kleene type, is a plan too: with ``E = None`` no burst
+opens, and every event runs the non-shared Eq. 2 kernel.
 
 The runtime state is columnar. Every per-query quantity (per-type totals,
 negation cuts, Eq. 3 results, snapshot values) holds one *column* per
@@ -54,7 +58,7 @@ from .greta import CNT, Channel, aggregates, channels_for, zero
 from .optimizer import BurstStats, choose_plan
 from .queries import Query
 from .snapshots import ONE_ID, SnapshotTable, Vec, vadd
-from .template import Template, build_template
+from .template import Template, build_template, pane_size
 
 
 @dataclass
@@ -150,14 +154,7 @@ class HamletPlan:
     the :class:`HamletSetEngine` instances of an entry share one plan and
     each holds only its own window's runtime state."""
 
-    def __init__(
-        self,
-        queries: Sequence[Query],
-        kleene_type: str,
-        *,
-        mode: str = "dynamic",
-        pane: float = 60.0,
-    ):
+    def __init__(self, queries: Sequence[Query], *, mode: str = "dynamic"):
         if mode not in ("dynamic", "static", "nonshared"):
             raise ValueError(mode)
         self.qs = tuple(queries)
@@ -165,13 +162,12 @@ class HamletPlan:
         self.pos = {q.qid: i for i, q in enumerate(self.qs)}
         self.k = len(self.qs)
         self.qids = tuple(sorted(self.pos))
-        self.E = kleene_type
         self.mode = mode
-        self.pane = pane
         self.tpls: dict[str, Template] = {q.qid: build_template(q) for q in self.qs}
-        for q in self.qs:
-            if kleene_type not in self.tpls[q.qid].kleene:
-                raise ValueError(f"{q.qid} lacks Kleene {kleene_type}+")
+        # the smallest Kleene type every query has; without one no burst opens
+        shared = frozenset.intersection(*(t.kleene for t in self.tpls.values()))
+        self.E = min(shared, default=None)
+        self.pane = pane_size({x for q in self.qs for x in (q.window, q.slide)})
         self._validate_minmax()
         # set-level aggregate channels = union over member queries
         chans: list[Channel] = []
@@ -192,7 +188,7 @@ class HamletPlan:
         self.any_kleene_start = any(self.one[CNT])
         self.types = frozenset().union(*(t.types for t in self.tpls.values()))
         self.kernels = {t: self._kernel(t) for t in self.types}
-        ker = self.kernels[self.E]
+        ker = self.kernels.get(self.E) or self._kernel(self.E)  # empty if E is None
         # a graphlet's entry snapshot: E's predecessor sums for every
         # sharer, edge-predicate queries included
         self.e_open = self._kernel(self.E, records=False)
@@ -656,15 +652,10 @@ def _add_at(dst: list[list], src: Sequence[Sequence], idx) -> None:
 
 
 def run_hamlet_set(
-    events: Sequence[Event],
-    queries: Sequence[Query],
-    kleene_type: str,
-    *,
-    mode: str = "dynamic",
-    pane: float = 60.0,
+    events: Sequence[Event], queries: Sequence[Query], *, mode: str = "dynamic"
 ) -> dict[str, dict[str, float]]:
     """Convenience: one window instance over a sharable set."""
-    eng = HamletPlan(queries, kleene_type, mode=mode, pane=pane).new_engine()
+    eng = HamletPlan(queries, mode=mode).new_engine()
     for e in sorted(events, key=lambda x: x.time):
         eng.on_event(e)
     eng.end_window()

@@ -110,6 +110,8 @@ class AggSpec:
             raise ValueError(f"unknown aggregate {self.fn}")
         if self.fn != "COUNT_STAR" and self.etype is None:
             raise ValueError(f"{self.fn} needs an event type")
+        if self.fn in ("SUM", "AVG", "MIN", "MAX") and self.attr is None:
+            raise ValueError(f"{self.fn}({self.etype}) needs an attribute")
 
     @property
     def name(self) -> str:

@@ -8,8 +8,10 @@ transitions. Its ``kleene`` types are the pattern's Kleene sub-patterns
 (Fig. 3(b)), each transition labelled with the queries that share it, is
 the sharable set's kernel tables (``hamlet.HamletPlan.kernels``): one
 predecessor edge per transition, labelled with the positions that take
-it. Workload analysis groups sharable queries (Definition 5) and computes
-the pane size (gcd of windows and slides).
+it. Workload analysis splits a workload into sharable sets (Definition 5),
+one query tuple each, a query that shares with no other being a set of
+one; ``pane_size`` is the gcd of windows and slides. A plan derives its
+Kleene type and pane from its set's queries.
 """
 from __future__ import annotations
 
@@ -200,18 +202,6 @@ def agg_signature(q: Query) -> tuple:
     return (frozenset(strict), frozenset(linear))
 
 
-@dataclass
-class SharableSet:
-    """A set of queries sharing one Kleene sub-pattern ``etype+``.
-
-    ``pane`` is the gcd of the member windows/slides (here equal by
-    construction, see DESIGN.md substitutions)."""
-
-    etype: str
-    queries: tuple
-    pane: float
-
-
 def pane_size(windows_and_slides: Iterable[float]) -> float:
     """gcd of window sizes and slides, computed over exact rationals so
     e.g. gcd(10 min, 15 min, 5 min) = 5 min without float drift."""
@@ -225,29 +215,17 @@ def pane_size(windows_and_slides: Iterable[float]) -> float:
     return float(g)
 
 
-def sharable_sets(workload: Sequence[Query]) -> tuple[list[SharableSet], list[Query]]:
-    """Split the workload into sharable sets (>=2 queries per Definition 5)
-    and leftover singleton queries.
+def sharable_sets(workload: Sequence[Query]) -> list[tuple]:
+    """Split the workload into sharable sets (Definition 5), one query
+    tuple per set; a query that shares with no other is a set of one.
 
-    A query joins at most one set, keyed by its (first) Kleene type plus
-    window, slide, group-by and aggregate signature.
+    A query joins one set, keyed by its smallest Kleene type (``None``
+    without one) plus window, slide, group-by and aggregate signature.
     """
     buckets: dict[tuple, list[Query]] = {}
-    no_kleene: list[Query] = []
     for q in workload:
-        kts = sorted(build_template(q).kleene)
-        if not kts:
-            no_kleene.append(q)
-            continue
-        key = (kts[0], q.window, q.slide, q.groupby, agg_signature(q))
-        buckets.setdefault(key, []).append(q)
-    sets: list[SharableSet] = []
-    singles: list[Query] = list(no_kleene)
-    for (etype, window, slide, _gb, _sig), qs in sorted(
-        buckets.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-    ):
-        if len(qs) > 1:
-            sets.append(SharableSet(etype=etype, queries=tuple(qs), pane=pane_size([window, slide])))
-        else:
-            singles.extend(qs)
-    return sets, singles
+        etype = min(build_template(q).kleene, default=None)
+        buckets.setdefault((etype, q.window, q.slide, q.groupby, agg_signature(q)), []).append(q)
+    # ordered by Kleene type, window and slide; ``None`` sorts as ""
+    order = sorted(buckets, key=lambda key: (key[0] or "", key[1], key[2]))
+    return [tuple(buckets[key]) for key in order]

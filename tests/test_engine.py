@@ -1,6 +1,7 @@
 """Workload-level facade: window instancing, system dispatch, metrics
 (paper §6.1 metric definitions)."""
 import bisect
+import random
 
 import pytest
 
@@ -8,8 +9,8 @@ from repro.core import engine
 from repro.core.brute import brute_results
 from repro.core.engine import RunResult, SYSTEMS, run_system, window_instances
 from repro.core.events import Event
-from repro.core.hamlet import Metrics
-from repro.core.queries import Atom, Kleene, Query, seq
+from repro.core.hamlet import HamletPlan, Metrics
+from repro.core.queries import AggSpec, Atom, GroupKleene, Kleene, Neg, Pred, Query, seq
 
 from util import assert_matches_brute, random_events
 
@@ -157,10 +158,76 @@ def test_mixed_workload_with_non_kleene_query():
     rr = run_system(events, qs, "hamlet")
     assert rr.results[("k", 0.0)]["COUNT(*)"] == 3.0
     assert rr.results[("nk", 0.0)]["COUNT(*)"] == 2.0
-    # the non-Kleene query's GRETA graph counts toward peak memory as in greta
-    greta_mem = run_system(events, qs[1:], "greta").metrics.peak_mem_bytes
+    # the non-Kleene query runs on a plan of its own, with that plan's counters
+    for system, mode in engine._MODES.items():
+        eng = HamletPlan(qs[1:], mode=mode).new_engine()
+        for e in events:
+            eng.on_event(e)
+        eng.end_window()
+        assert run_system(events, qs[1:], system).metrics == eng.m
+        assert eng.m.peak_mem_bytes > 0
+
+
+# patterns without a Kleene type, each with the end type a MIN/MAX may take
+# (None: a trailing negation allows none)
+_NON_KLEENE = (
+    (seq(Atom("A"), Atom("B")), "B"),
+    (seq(Atom("A"), Atom("B"), Atom("C")), "C"),
+    (seq(Atom("A"), Neg("N"), Atom("B")), "B"),
+    (seq(Atom("A"), Atom("B"), Neg("N")), None),
+    (seq(Atom("A"), GroupKleene(seq(Atom("B"), Atom("C")))), "C"),
+)
+
+
+def _non_kleene_workload(seed):
+    """2-5 queries over ``_NON_KLEENE`` with COUNT(*), COUNT(E), SUM, AVG
+    and sometimes MIN/MAX; some have a unary predicate on B, and windows
+    and slides differ between queries."""
+    rng = random.Random(seed)
+    qs = []
+    for i in range(rng.randint(2, 5)):
+        elems, end = rng.choice(_NON_KLEENE)
+        aggs = (
+            AggSpec("COUNT_STAR"), AggSpec("COUNT_E", "B"), AggSpec("SUM", "B", "v"), AggSpec("AVG", "A", "w")
+        )
+        if end is not None and rng.random() < 0.5:
+            aggs += (AggSpec("MIN", end, "v"), AggSpec("MAX", end, "w"))
+        where = {"B": (Pred("v", ">=", rng.choice([2, 5])),)} if rng.random() < 0.4 else {}
+        window = rng.choice([6.0, 12.0])
+        qs.append(
+            Query(qid=f"n{i}", elems=elems, aggs=aggs, where=where, window=window, slide=window / 2)
+        )
+    return qs
+
+
+@pytest.mark.parametrize("system", ["hamlet", "hamlet-static", "hamlet-nonshared"])
+@pytest.mark.parametrize("seed", range(12))
+def test_non_kleene_queries_run_on_hamlet_plans(system, seed):
+    """Under every Hamlet system, queries without a Kleene type run on
+    ``HamletPlan``s with no Kleene type, and every window instance's
+    results match brute force."""
+    events = random_events(seed + 1100, n_max=24, types="ABCN")
+    qs = _non_kleene_workload(seed)
+    plans = [plan for *_, plan in engine.window_executors(qs, system)]
+    assert all(isinstance(plan, HamletPlan) and plan.E is None for plan in plans)
+    rr = run_system(events, qs, system)
+    by_qid = {q.qid: q for q in qs}
+    assert {qid for qid, _ in rr.results} == (set(by_qid) if events else set())
+    for (qid, start), aggs in rr.results.items():
+        window = by_qid[qid].window
+        in_window = [e for e in events if start <= e.time < start + window]
+        assert_matches_brute(in_window, by_qid[qid], aggs)
+
+
+def test_non_kleene_minmax_off_end_type_fails_loudly():
+    """A MIN on a type that does not end the pattern raises, naming the
+    query, under every Hamlet system; GRETA evaluates it."""
+    q = Query(qid="nk", elems=seq(Atom("A"), Atom("B")), aggs=(AggSpec("MIN", "A", "v"),))
+    events = [_ev(0, "A", 3.0), _ev(1, "B")]
     for system in ("hamlet", "hamlet-static", "hamlet-nonshared"):
-        assert run_system(events, qs[1:], system).metrics.peak_mem_bytes == greta_mem > 0
+        with pytest.raises(ValueError, match="nk"):
+            run_system(events, [q], system)
+    assert run_system(events, [q], "greta").results[("nk", 0.0)]["MIN(A.v)"] == 3.0
 
 
 _TIE_DEFECT = pytest.mark.xfail(

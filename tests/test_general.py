@@ -21,7 +21,7 @@ def test_negation_mid_pattern_all_engines(seed):
     events = random_events(seed + 40, n_max=14)
     q = Query(qid="q", elems=seq(Atom("A"), Neg("N"), Kleene("B")))
     assert_matches_brute(events, q, run_greta(events, q))
-    res = run_hamlet_set(events, [q], "B", mode="nonshared")
+    res = run_hamlet_set(events, [q], mode="nonshared")
     assert_matches_brute(events, q, res["q"])
 
 
@@ -30,7 +30,7 @@ def test_trailing_negation_all_engines(seed):
     events = random_events(seed + 80, n_max=14)
     q = Query(qid="q", elems=seq(Atom("A"), Kleene("B"), Neg("N")))
     assert_matches_brute(events, q, run_greta(events, q))
-    res = run_hamlet_set(events, [q], "B", mode="nonshared")
+    res = run_hamlet_set(events, [q], mode="nonshared")
     assert_matches_brute(events, q, res["q"])
 
 
@@ -41,7 +41,7 @@ def test_shared_negation_queries(seed):
         Query(qid="qn", elems=seq(Atom("A"), Neg("N"), Kleene("B"))),
         Query(qid="qp", elems=seq(Atom("A"), Kleene("B"))),
     ]
-    res = run_hamlet_set(events, qs, "B", mode="static")
+    res = run_hamlet_set(events, qs, mode="static")
     for q in qs:
         assert_matches_brute(events, q, res[q.qid])
 
@@ -61,7 +61,7 @@ def test_nested_kleene_hamlet_matches_brute(seed):
         Query(qid="q2", elems=seq(GroupKleene(seq(Atom("C"), Kleene("B"))))),
     ]
     for mode in ("static", "nonshared", "dynamic"):
-        res = run_hamlet_set(events, qs, "B", mode=mode)
+        res = run_hamlet_set(events, qs, mode=mode)
         for q in qs:
             assert_matches_brute(events, q, res[q.qid])
 

@@ -19,7 +19,7 @@ from repro.core.queries import (
     seq,
 )
 
-from util import assert_matches_brute, random_events, random_query
+from util import assert_matches_brute, random_events, random_query, windowed
 
 
 def _set_of(seed, k):
@@ -31,7 +31,7 @@ def _set_of(seed, k):
 def test_hamlet_matches_brute_random_workloads(mode, seed):
     events = random_events(seed, n_max=18)
     qs = _set_of(seed, 1 + seed % 4)
-    res = run_hamlet_set(events, qs, "B", mode=mode, pane=[3.0, 7.0, 50.0][seed % 3])
+    res = run_hamlet_set(events, windowed(qs, [3.0, 7.0, 50.0][seed % 3]), mode=mode)
     for q in qs:
         assert_matches_brute(events, q, res[q.qid])
 
@@ -42,7 +42,7 @@ def test_dynamic_equals_static_equals_nonshared(seed):
     events = random_events(seed + 500, n_max=18)
     qs = _set_of(seed + 500, 3)
     outs = [
-        run_hamlet_set(events, qs, "B", mode=m) for m in ("dynamic", "static", "nonshared")
+        run_hamlet_set(events, qs, mode=m) for m in ("dynamic", "static", "nonshared")
     ]
     for q in qs:
         for other in outs[1:]:
@@ -55,7 +55,7 @@ def test_dynamic_equals_static_equals_nonshared(seed):
 def test_hamlet_equals_greta_per_query(seed):
     events = random_events(seed + 900, n_max=16)
     qs = _set_of(seed + 900, 2)
-    res = run_hamlet_set(events, qs, "B", mode="dynamic")
+    res = run_hamlet_set(events, qs, mode="dynamic")
     for q in qs:
         g = run_greta(events, q)
         for key, val in g.items():
@@ -68,7 +68,7 @@ def _ev(t, et, v=0.0):
 
 
 def _mk_engine(qs, mode="static", pane=100.0):
-    return HamletPlan(qs, "B", mode=mode, pane=pane).new_engine()
+    return HamletPlan(windowed(qs, pane), mode=mode).new_engine()
 
 
 Q1 = Query(qid="q1", elems=seq(Atom("A"), Kleene("B")))
@@ -126,7 +126,7 @@ def test_edge_pred_query_diverges_every_event():
     eng.end_window()
     # every shared B event needs an event-level snapshot (Definition 9)
     assert eng.m.snapshots_created >= 1 + 3
-    assert_matches_brute(evs, q2, run_hamlet_set(evs, [q1, q2], "B", mode="static")["q2"])
+    assert_matches_brute(evs, q2, run_hamlet_set(evs, [q1, q2], mode="static")["q2"])
 
 
 def test_dynamic_splits_under_snapshot_pressure():
@@ -136,12 +136,12 @@ def test_dynamic_splits_under_snapshot_pressure():
     q2 = Query(qid="q2", elems=seq(Atom("A"), Kleene("B")))
     q3 = Query(qid="q3", elems=seq(Atom("A"), Kleene("B")), edge_pred=EdgePred("v", "<="))
     evs = [_ev(0, "A")] + [_ev(1 + i, "B", (i * 7) % 10) for i in range(20)]
-    eng = HamletPlan([q1, q2, q3], "B", mode="dynamic", pane=5.0).new_engine()
+    eng = HamletPlan(windowed([q1, q2, q3], 5.0), mode="dynamic").new_engine()
     for e in evs:
         eng.on_event(e)
     eng.end_window()
     dyn_snaps = eng.m.snapshots_created
-    eng_s = HamletPlan([q1, q2, q3], "B", mode="static", pane=5.0).new_engine()
+    eng_s = HamletPlan(windowed([q1, q2, q3], 5.0), mode="static").new_engine()
     for e in evs:
         eng_s.on_event(e)
     eng_s.end_window()
@@ -168,14 +168,9 @@ def test_exact_counts_beyond_double_precision():
     assert eng.exact_counts()["q1"] == 2**80 - 1
 
 
-def test_engine_rejects_query_without_kleene():
-    with pytest.raises(ValueError):
-        HamletPlan([Query(qid="x", elems=seq(Atom("A"), Atom("B")))], "B")
-
-
 def test_engine_rejects_bad_mode():
     with pytest.raises(ValueError):
-        HamletPlan([Q1], "B", mode="sometimes")
+        HamletPlan([Q1], mode="sometimes")
 
 
 def test_minmax_validation_rejects_non_end_type():
@@ -185,7 +180,7 @@ def test_minmax_validation_rejects_non_end_type():
         aggs=(AggSpec("MIN", "B", "v"),),  # B is not an end type here
     )
     with pytest.raises(ValueError):
-        HamletPlan([q], "B")
+        HamletPlan([q])
 
 
 def test_engine_is_picklable_mid_stream():
@@ -264,7 +259,7 @@ def _two_kleene_query(seed, qid):
 def test_two_kleene_edge_predicates_match_brute(mode, seed):
     events = random_events(seed + 3000, n_max=14, types="ABCN")
     qs = [_two_kleene_query(seed * 31 + i, f"q{i}") for i in range(1 + seed % 3)]
-    res = run_hamlet_set(events, qs, "A", mode=mode, pane=[2.0, 5.0, 50.0][seed % 3])
+    res = run_hamlet_set(events, windowed(qs, [2.0, 5.0, 50.0][seed % 3]), mode=mode)
     for q in qs:
         assert_matches_brute(events, q, res[q.qid])
 
@@ -335,7 +330,7 @@ def test_columns_equal_greta(k, mode):
     for seed in range(3):
         events = _bursty_events(seed)
         qs = _column_set(seed * 7 + k, k)
-        eng = HamletPlan(qs, "B", mode=mode, pane=100.0).new_engine()
+        eng = HamletPlan(windowed(qs, 100.0), mode=mode).new_engine()
         open_shared = eng._open_shared
 
         def record(sharers, open_shared=open_shared):
@@ -414,7 +409,7 @@ def test_kernel_equals_greta(k, mode):
     for seed in range(3):
         events = _bursty_events(seed)
         qs = _kernel_set(seed * 11 + k, k)
-        eng = HamletPlan(qs, "B", mode=mode, pane=100.0).new_engine()
+        eng = HamletPlan(windowed(qs, 100.0), mode=mode).new_engine()
         for e in events:
             eng.on_event(e)
         eng.end_window()
@@ -449,7 +444,7 @@ def test_counters_pinned(pool, mode):
     """``ops``, ``stored_events``, ``coeff_ops``, ``snapshots_created`` and
     ``peak_mem_bytes`` of a fixed 20-query set over a fixed input."""
     qs = (_column_set if pool == "column" else _kernel_set)(5, 20)
-    eng = HamletPlan(qs, "B", mode=mode, pane=100.0).new_engine()
+    eng = HamletPlan(windowed(qs, 100.0), mode=mode).new_engine()
     for e in _bursty_events(0):
         eng.on_event(e)
     eng.end_window()
@@ -478,7 +473,7 @@ def test_kleene_predicates_evaluated_once_per_event(mode, monkeypatch):
 
     monkeypatch.setattr(Query, "matches", counted)
     events = _bursty_events(0)
-    eng = HamletPlan(qs, "B", mode=mode, pane=100.0).new_engine()
+    eng = HamletPlan(windowed(qs, 100.0), mode=mode).new_engine()
     for e in events:
         eng.on_event(e)
     eng.end_window()
@@ -504,7 +499,7 @@ def test_kernel_view_cache_evicts(mode):
     ]
     fails = {frozenset(i for i in range(6) if e.attrs[f"b{i}"] != 1.0) for e in events if e.etype == "B"}
     assert len(fails) > _MAX_VIEWS
-    plan = HamletPlan(qs, "B", mode=mode, pane=1000.0)
+    plan = HamletPlan(windowed(qs, 1000.0), mode=mode)
     eng = plan.new_engine()
     for e in events:
         eng.on_event(e)

@@ -35,7 +35,7 @@ def test_hamlet_minmax_matches_brute(mode, seed):
         Query(qid="q2", elems=seq(Atom("C"), Kleene("B")), aggs=AGGS,
               where={"B": (Pred("v", "<=", 6),)}),
     ]
-    res = run_hamlet_set(events, qs, "B", mode=mode)
+    res = run_hamlet_set(events, qs, mode=mode)
     for q in qs:
         assert_matches_brute(events, q, res[q.qid])
 
@@ -47,7 +47,7 @@ def test_unreachable_event_excluded_from_min():
     events = [_ev(0, "B", 1.0), _ev(1, "A"), _ev(2, "B", 7.0)]
     r = run_greta(events, q)
     assert r["MIN(B.v)"] == 7.0
-    h = run_hamlet_set(events, [q], "B", mode="nonshared")["q"]
+    h = run_hamlet_set(events, [q], mode="nonshared")["q"]
     assert h["MIN(B.v)"] == 7.0
 
 
@@ -65,5 +65,5 @@ def test_minmax_on_suffix_end_type():
     )
     events = [_ev(0, "A"), _ev(1, "B"), _ev(2, "C", 4.0), _ev(3, "C", 9.0)]
     assert_matches_brute(events, q, run_greta(events, q))
-    h = run_hamlet_set(events, [q], "B", mode="nonshared")["q"]
+    h = run_hamlet_set(events, [q], mode="nonshared")["q"]
     assert_matches_brute(events, q, h)

@@ -35,7 +35,7 @@ def _stream_fig5ab():
 def _recording_engine(queries):
     """A static engine over ``queries`` plus the values of every snapshot
     it creates, by id, recorded from outside the engine."""
-    eng = HamletPlan(queries, "B", mode="static", pane=100.0).new_engine()
+    eng = HamletPlan(queries, mode="static").new_engine()
     created = {}
     create = eng.S.create
 
@@ -51,7 +51,7 @@ def _recording_engine(queries):
 def test_table3_shared_propagation_doubles():
     """Table 3: counts within B3 are x, 2x, 4x, 8x — via the shared vector
     the engine's intermediate sums resolve to value(x,q)·{1,2,4,8}."""
-    eng = HamletPlan([Q1, Q2], "B", mode="static", pane=100.0).new_engine()
+    eng = HamletPlan([Q1, Q2], mode="static").new_engine()
     for e in [_ev(0, "A"), _ev(1, "A"), _ev(2, "C")]:
         eng.on_event(e)
     counts_q1, counts_q2 = [], []
@@ -98,7 +98,7 @@ def test_table5_event_snapshot_z():
     # y (entry of B6) = x + sum(B3) + sum(prefix graphlets): q1=34, q2=15
     assert (34, 15) in snap_vals
     # and results agree with brute force
-    res = run_hamlet_set(evs, [Q1, q2], "B", mode="static")
+    res = run_hamlet_set(evs, [Q1, q2], mode="static")
     for q in (Q1, q2):
         want = brute_results(evs, q)["COUNT(*)"]
         assert res[q.qid]["COUNT(*)"] == want

@@ -8,6 +8,8 @@ from repro.core.greta import run_greta
 from repro.core.hamlet import run_hamlet_set
 from repro.core.queries import Atom, EdgePred, Kleene, Pred, Query, seq
 
+from util import windowed
+
 events_strategy = st.lists(
     st.tuples(st.sampled_from("ABCX"), st.integers(0, 9)),
     min_size=0,
@@ -51,7 +53,7 @@ def test_greta_equals_brute(events, q):
 @given(events_strategy, query_strategy, st.sampled_from(["dynamic", "static", "nonshared"]))
 def test_hamlet_equals_brute(events, q, mode):
     want = brute_results(events, q)["COUNT(*)"]
-    got = run_hamlet_set(events, [q], "B", mode=mode)["q"]["COUNT(*)"]
+    got = run_hamlet_set(events, [q], mode=mode)["q"]["COUNT(*)"]
     assert got == want
 
 
@@ -66,6 +68,6 @@ def test_shared_workload_equals_brute(events, qs, pane):
         Query(qid=f"q{i}", elems=q.elems, where=q.where, edge_pred=q.edge_pred)
         for i, q in enumerate(qs)
     ]
-    res = run_hamlet_set(events, workload, "B", mode="dynamic", pane=pane)
+    res = run_hamlet_set(events, windowed(workload, pane), mode="dynamic")
     for q in workload:
         assert res[q.qid]["COUNT(*)"] == brute_results(events, q)["COUNT(*)"]

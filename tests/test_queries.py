@@ -91,6 +91,10 @@ def test_aggspec_validation():
         AggSpec("MEDIAN")
     with pytest.raises(ValueError):
         AggSpec("SUM")  # needs an event type
+    for fn in ("SUM", "AVG", "MIN", "MAX"):  # need an attribute
+        with pytest.raises(ValueError, match=fn):
+            AggSpec(fn, "B")
+    AggSpec("COUNT_E", "B")
 
 
 def test_event_pickle_roundtrip():

@@ -278,7 +278,8 @@ def test_state_blob_holds_no_query_definitions(stream_pdf, system):
     for _, pane in grp.groupby(grp["time"] // PANE):
         list(_fresh_copy(func)((0,), iter([pane]), state))
     names = _global_names(state.get[0])
-    assert "repro.core.greta" in names  # open windows' engines are in the blob
+    # open windows' engines are in the blob
+    assert {"greta": "repro.core.greta", "hamlet": "repro.core.hamlet"}[system] in names
     assert not names & {"repro.core.queries", "repro.core.template", "_Kernel"}
     # A tumbling window is its own pane, so the operator's graphlets close
     # within a call; a sliding workload's engines have 10-s panes, and

@@ -90,7 +90,7 @@ def test_merged_template_example3():
     labelled by both."""
     q1 = Query(qid="q1", elems=seq(Atom("A"), Kleene("B")))
     q2 = Query(qid="q2", elems=seq(Atom("C"), Kleene("B")))
-    plan = HamletPlan([q1, q2], "B")
+    plan = HamletPlan([q1, q2])
     ker = plan.kernels["B"]
     labels = {(pt, b): {plan.qs[i].qid for i in at} for pt, b, at in ker.edges}
     assert len(ker.edges) == len(labels) == 3
@@ -118,16 +118,15 @@ def _q(qid, window=60.0, aggs=(AggSpec("COUNT_STAR"),), kleene="B", prefix="A"):
 
 def test_sharable_sets_groups_same_signature():
     qs = [_q("a"), _q("b", prefix="C"), _q("c", prefix="D")]
-    sets, singles = sharable_sets(qs)
-    assert len(sets) == 1 and len(singles) == 0
-    assert sets[0].etype == "B" and {q.qid for q in sets[0].queries} == {"a", "b", "c"}
+    sets = sharable_sets(qs)
+    assert [[q.qid for q in s] for s in sets] == [["a", "b", "c"]]
+    assert HamletPlan(sets[0]).E == "B"
 
 
 def test_sharable_sets_split_by_window():
     qs = [_q("a", window=60.0), _q("b", window=120.0), _q("c", window=60.0)]
-    sets, singles = sharable_sets(qs)
-    assert len(sets) == 1 and {q.qid for q in sets[0].queries} == {"a", "c"}
-    assert [q.qid for q in singles] == ["b"]
+    sets = sharable_sets(qs)
+    assert [[q.qid for q in s] for s in sets] == [["a", "c"], ["b"]]
 
 
 def test_sharable_sets_split_by_aggregate_class():
@@ -139,12 +138,10 @@ def test_sharable_sets_split_by_aggregate_class():
         _q("max1", aggs=(AggSpec("MAX", "B", "v"),)),
         _q("max2", aggs=(AggSpec("MAX", "B", "v"),)),
     ]
-    sets, singles = sharable_sets(qs)
-    by_members = {frozenset(q.qid for q in s.queries) for s in sets}
-    assert frozenset({"cnt1", "cnt2"}) in by_members
-    assert frozenset({"sum1", "avg1"}) in by_members
-    assert frozenset({"max1", "max2"}) in by_members
-    assert not singles
+    by_members = {frozenset(q.qid for q in s) for s in sharable_sets(qs)}
+    assert by_members == {
+        frozenset({"cnt1", "cnt2"}), frozenset({"sum1", "avg1"}), frozenset({"max1", "max2"})
+    }
 
 
 def test_agg_signature_avg_shares_with_sum_and_count_e():
@@ -158,17 +155,26 @@ def test_agg_signature_avg_shares_with_sum_and_count_e():
 
 def test_no_kleene_queries_are_singletons():
     q = Query(qid="nk", elems=seq(Atom("A"), Atom("B")))
-    sets, singles = sharable_sets([q, _q("a"), _q("b", prefix="C")])
-    assert [s.qid for s in singles] == ["nk"]
-    assert len(sets) == 1
+    sets = sharable_sets([_q("a"), q, _q("b", prefix="C")])
+    assert [[x.qid for x in s] for s in sets] == [["nk"], ["a", "b"]]
 
 
-def test_pane_on_sharable_set():
-    qs = [_q("a", window=120.0), _q("b", window=120.0)]
-    for q in qs:
-        q.slide = 60.0
-    sets, _ = sharable_sets(qs)
-    assert sets[0].pane == pytest.approx(60.0)
+def test_plan_derives_kleene_type_and_pane():
+    """A plan's E is the smallest Kleene type all its queries have (None
+    without one), and its pane the gcd of their windows and slides."""
+    two = Query(qid="ab", elems=seq(Kleene("A"), Kleene("B")))
+    cb = Query(qid="cb", elems=seq(Atom("C"), Kleene("B")))
+    ba = Query(qid="ba", elems=seq(Kleene("B"), Kleene("A")))
+    nk = Query(qid="nk", elems=seq(Atom("A"), Atom("B")))
+    assert HamletPlan([two, cb]).E == "B"
+    assert HamletPlan([two, ba]).E == "A"
+    assert HamletPlan([nk]).E is None
+    assert HamletPlan([nk, cb]).E is None
+    a = _q("a", window=120.0)
+    a.slide = 60.0
+    b = _q("b", window=90.0)
+    assert HamletPlan([a]).pane == pytest.approx(60.0)
+    assert HamletPlan([a, b]).pane == pytest.approx(30.0)
 
 
 def test_template_cache_reused():

@@ -1,4 +1,5 @@
 """Experiment workload generators (paper §6.1 workload descriptions)."""
+from repro.core.hamlet import HamletPlan
 from repro.core.queries import AggSpec
 from repro.core.template import sharable_sets
 from repro.core.workloads import workload1, workload2
@@ -6,9 +7,9 @@ from repro.core.workloads import workload1, workload2
 
 def test_workload1_is_one_sharable_set():
     wl = workload1(10)
-    sets, singles = sharable_sets(wl)
-    assert len(sets) == 1 and not singles
-    assert len(sets[0].queries) == 10 and sets[0].etype == "T"
+    sets = sharable_sets(wl)
+    assert len(sets) == 1 and len(sets[0]) == 10
+    assert HamletPlan(sets[0]).E == "T"
 
 
 def test_workload1_patterns_differ_by_prefix():
@@ -24,10 +25,9 @@ def test_workload1_count_star_only():
 
 def test_workload2_splits_into_multiple_sets():
     wl = workload2(24)
-    sets, singles = sharable_sets(wl)
-    assert len(sets) >= 3  # windows × aggregate classes
-    covered = sum(len(s.queries) for s in sets) + len(singles)
-    assert covered == 24
+    sets = sharable_sets(wl)
+    assert sum(len(s) > 1 for s in sets) >= 3  # windows × aggregate classes
+    assert sum(len(s) for s in sets) == 24
 
 
 def test_workload2_mixed_aggregates():

@@ -3,6 +3,7 @@ deterministic seeds, and an agreement checker between engines and the
 brute-force oracle."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -73,3 +74,9 @@ def assert_matches_brute(events, query, results: dict) -> None:
     want = brute_results(events, query)
     for key, val in want.items():
         assert_close(val, results[key], f"{query.qid}.{key}")
+
+
+def windowed(queries, pane: float) -> list[Query]:
+    """``queries`` with window = slide = ``pane``: a plan's pane is the gcd
+    of its queries' windows and slides."""
+    return [dataclasses.replace(q, window=pane, slide=pane) for q in queries]
