@@ -2,14 +2,18 @@
 """Behaviour dump and comparison for refactors that must change nothing.
 
     python3 jobs/equivalence.py --out FILE [--inputs NAME,...]
-    python3 jobs/equivalence.py --compare A B
+    python3 jobs/equivalence.py --compare A B [--rel-tol R]
 
 ``--out`` runs every system over every group of fixed seeded inputs and
 writes, per (input, group, system) case, the per-window results (NaN
 stored as null), the window starts, ``n_events`` and every ``Metrics``
-field. ``--compare`` exits 1 and names the first difference between two
-dumps. To compare two checkouts, write one dump from each with
-``PYTHONPATH`` pointing at that checkout's ``src``.
+field. ``--compare`` exits 1 and lists every field in which two dumps
+differ (``metrics.coeff_ops``, ``results.SUM(T.v)``, ...), with the number
+of cases it differs in and its first difference. Every field compares
+exactly; ``--rel-tol R`` accepts a result aggregate other than COUNT(*)
+within relative tolerance ``R``, while counts stay exact. To compare two
+checkouts, write one dump from each with ``PYTHONPATH`` pointing at that
+checkout's ``src``.
 
 Inputs: the small configurations of T9, T11 (NYC and smart home) and T12
 from ``repro.bench.experiments``, and perfbench's ``nyc-shared`` and
@@ -114,28 +118,48 @@ def dump(names=None) -> dict:
     return cases
 
 
-def first_difference(a, b, path: str = ""):
-    """The path and values of the first difference between two dumps, or
-    None when they are equal."""
+def leaf_differences(a, b, path: tuple = ()):
+    """``(path, a value, b value)`` for each leaf where two dumps differ; a
+    path holds dict keys and list indexes, and a value missing on one side
+    is the string ``"<missing>"`` (a list that changed length is one leaf,
+    its lengths)."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in list(a) + [k for k in b if k not in a]:
             if k not in a or k not in b:
-                return f"{path}{k}: only in {'A' if k in a else 'B'}"
-            d = first_difference(a[k], b[k], f"{path}{k}.")
-            if d:
-                return d
-        return None
-    if isinstance(a, list) and isinstance(b, list):
+                yield path + (k,), a.get(k, "<missing>"), b.get(k, "<missing>")
+            else:
+                yield from leaf_differences(a[k], b[k], path + (k,))
+    elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return f"{path.rstrip('.')}: {len(a)} entries != {len(b)}"
-        for i, (x, y) in enumerate(zip(a, b)):
-            d = first_difference(x, y, f"{path}{i}.")
-            if d:
-                return d
-        return None
-    if a != b or type(a) is not type(b):
-        return f"{path.rstrip('.')}: {a!r} != {b!r}"
-    return None
+            yield path + ("<length>",), len(a), len(b)
+        else:
+            for i, (x, y) in enumerate(zip(a, b)):
+                yield from leaf_differences(x, y, path + (i,))
+    elif a != b or type(a) is not type(b):
+        yield path, a, b
+
+
+def _within(path: tuple, a, b, rel_tol: float) -> bool:
+    """Whether a result aggregate other than COUNT(*) is within ``rel_tol``
+    (relative); counts and every other field compare exactly."""
+    if not rel_tol or len(path) < 2 or path[1] != "results" or path[-1] == "COUNT(*)":
+        return False
+    if not all(isinstance(v, (int, float)) for v in (a, b)):
+        return False
+    return abs(a - b) <= rel_tol * max(abs(a), abs(b))
+
+
+def differences(a: dict, b: dict, rel_tol: float = 0.0) -> dict[str, list]:
+    """``{field: [(case, path, a value, b value), ...]}``: every difference
+    between two dumps by field, the path without its case and list indexes
+    (``metrics.coeff_ops``, ``results.SUM(T.v)``), in case order. A result
+    aggregate other than COUNT(*) within ``rel_tol`` is not a difference."""
+    out: dict[str, list] = {}
+    for path, x, y in leaf_differences(a, b):
+        if not _within(path, x, y, rel_tol):
+            field = ".".join(str(k) for k in path[1:] if not isinstance(k, int)) or "<case>"
+            out.setdefault(field, []).append((path[0], path, x, y))
+    return out
 
 
 def main(argv=None) -> int:
@@ -146,6 +170,11 @@ def main(argv=None) -> int:
     p.add_argument(
         "--inputs", help="comma-separated input names to dump (default: all)"
     )
+    p.add_argument(
+        "--rel-tol", type=float, default=0.0, metavar="R",
+        help="with --compare: accept result aggregates other than COUNT(*) "
+        "within relative tolerance R (default: exact)",
+    )
     args = p.parse_args(argv)
     if args.out:
         cases = dump(args.inputs.split(",") if args.inputs else None)
@@ -155,11 +184,16 @@ def main(argv=None) -> int:
         return 0
     with open(args.compare[0]) as fa, open(args.compare[1]) as fb:
         a, b = json.load(fa), json.load(fb)
-    diff = first_difference(a, b)
-    if diff:
-        print(f"DIFFERENT: {diff}")
+    diffs = differences(a, b, args.rel_tol)
+    if diffs:
+        print(f"DIFFERENT: {len(diffs)} field(s)")
+        for field, where in diffs.items():
+            case, path, x, y = where[0]
+            at = ".".join(map(str, path))
+            print(f"  {field}: {len({w[0] for w in where})} cases; first {at}: {x!r} != {y!r}")
         return 1
-    print(f"{len(a)} cases identical")
+    tol = f" (aggregates within {args.rel_tol:g})" if args.rel_tol else ""
+    print(f"{len(a)} cases identical{tol}")
     return 0
 
 

@@ -94,10 +94,10 @@ class SharonPlan:
         q_by_id = {q.qid: q for q in qs}
         for e in evs:
             for (owner, steps), arr in per_pattern.items():
-                # predicate context: shared patterns ('' owner) have no
-                # predicates; owned patterns use their query's where, once
-                # per (event, pattern)
-                matched = q_by_id[owners[(owner, steps)][0]].matches(e)
+                # predicate context: shared patterns ('' owner) come from
+                # queries without predicates and match every event; owned
+                # patterns use their query's where, once per (event, pattern)
+                matched = not owner or q_by_id[owner].matches(e)
                 for j in range(len(steps), 0, -1):
                     ops += 1
                     if matched and steps[j - 1] == e.etype:

@@ -30,38 +30,59 @@ def _rideshare_cfg(scale: str) -> dict:
     return dict(minutes=2.0, n_groups=16, burst_mean=3.0, p_kleene=0.15, burst_cap=8)
 
 
+def _fastest_of_three(inputs, systems) -> dict[tuple, RunResult]:
+    """``{(input index, system): RunResult}``: each (input, system)'s
+    fastest pass (smallest ``total_wall``) over three sweeps of every
+    input. ``inputs`` holds ``(frame, workload, run_partitioned keywords)``
+    triples. A pass over one point takes tens of milliseconds, shorter than
+    the host's slow stretches (seconds), so each point keeps its fastest
+    pass rather than its first; the passes' counters must be equal."""
+    best: dict[tuple, RunResult] = {}
+    for _ in range(3):
+        for i, (pdf, wl, kw) in enumerate(inputs):
+            for system in systems:
+                rr = run_partitioned(pdf, wl, system, **kw)
+                fastest = best.setdefault((i, system), rr)
+                assert rr.metrics == fastest.metrics, (i, system)
+                if rr.total_wall < fastest.total_wall:
+                    best[i, system] = rr
+    return best
+
+
 def fig9_fig10(scale: str = "full") -> list[dict]:
     """T9 (Fig. 9 latency/throughput) + T10 (Fig. 10 memory): the four
     systems on the ridesharing stream, varying rate and #queries.
 
     Paper x-axes: 10K–20K events/min and 5–25 queries; rates here are
     ÷50. SHARON's flattening length is its compile-time estimate: the
-    per-window global Kleene event count (see baselines.sharon).
+    per-window global Kleene event count (see baselines.sharon). Each
+    (point, system) reports its fastest of three sweeps
+    (``_fastest_of_three``).
     """
     cfg = _rideshare_cfg(scale)
-    rows: list[dict] = []
     epm_list = [200, 250, 300, 350, 400] if scale == "full" else [150]
     k_list = [5, 10, 15, 20, 25] if scale == "full" else [5]
     window = 60.0
-
-    def run_point(panel: str, x_name: str, x: int, epm: int, k: int) -> None:
+    n_windows = max(int(cfg["minutes"] * 60 / window), 1)
+    # (panel, x_name, x, events per minute, queries)
+    k_rate = 10 if scale == "full" else 5
+    points = [("a/c (vs rate)", "events_per_min", epm, epm, k_rate) for epm in epm_list]
+    points += [("b/d (vs queries)", "n_queries", k, epm_list[0], k) for k in k_list]
+    inputs = []
+    for *_, epm, k in points:
         pdf = ridesharing_stream(events_per_min=epm, seed=42, **cfg)
-        wl = workload1(k, kleene_type="T", window=window, slide=window)
-        n_windows = max(int(cfg["minutes"] * 60 / window), 1)
         kleene_per_window = int((pdf["etype"] == "T").sum() / n_windows) + 1
-        for system in FOUR_SYSTEMS:
-            rr = run_partitioned(
-                pdf, wl, system, sharon_l=kleene_per_window, mcep_max_trends=1_000_000
-            )
-            rows.append(
-                row(table="T9/T10", panel=panel, x_name=x_name, x=x, system=system, rr=rr)
-            )
-
-    for epm in epm_list:
-        run_point("a/c (vs rate)", "events_per_min", epm, epm, k=10 if scale == "full" else 5)
-    for k in k_list:
-        run_point("b/d (vs queries)", "n_queries", k, epm_list[0], k)
-    return rows
+        inputs.append((
+            pdf,
+            workload1(k, kleene_type="T", window=window, slide=window),
+            dict(sharon_l=kleene_per_window, mcep_max_trends=1_000_000),
+        ))
+    best = _fastest_of_three(inputs, FOUR_SYSTEMS)
+    return [
+        row(table="T9/T10", panel=panel, x_name=x_name, x=x, system=system, rr=best[i, system])
+        for i, (panel, x_name, x, _, _) in enumerate(points)
+        for system in FOUR_SYSTEMS
+    ]
 
 
 def fig11(scale: str = "full") -> list[dict]:
@@ -101,10 +122,8 @@ def fig12_fig13(scale: str = "full") -> list[dict]:
     with the diverse workload 2 (paper x-axes 2K–4K events/min ÷ ~20
     and 20–100 queries), next to Hamlet's never-shared executor.
 
-    A pass over one point takes tens of milliseconds, shorter than the
-    host's slow stretches (seconds), so the whole sweep runs three times
-    and each (point, system) reports its fastest pass (smallest
-    ``total_wall``); the passes' counters must be equal."""
+    Each (point, system) reports its fastest of three sweeps
+    (``_fastest_of_three``)."""
     window = 60.0
     epm_list = [100, 125, 150, 175, 200] if scale == "full" else [100]
     k_list = [20, 40, 60, 80, 100] if scale == "full" else [12]
@@ -121,18 +140,11 @@ def fig12_fig13(scale: str = "full") -> list[dict]:
             stock_stream(minutes=minutes, events_per_min=epm, n_groups=4,
                          burst_mean=30.0, p_kleene=0.55, seed=7),
             workload2(k, kleene_type="T", windows=(window, 2 * window), seed=5),
+            {},
         )
         for *_, epm, k in points
     ]
-    best: dict[tuple, RunResult] = {}
-    for _ in range(3):
-        for i, (pdf, wl) in enumerate(inputs):
-            for system, _ in systems:
-                rr = run_partitioned(pdf, wl, system)
-                fastest = best.setdefault((i, system), rr)
-                assert rr.metrics == fastest.metrics, (points[i][1:3], system)
-                if rr.total_wall < fastest.total_wall:
-                    best[i, system] = rr
+    best = _fastest_of_three(inputs, [system for system, _ in systems])
     return [
         row(table="T12/T13", panel=panel, x_name=x_name, x=x, system=label, rr=best[i, system])
         for i, (panel, x_name, x, _, _) in enumerate(points)

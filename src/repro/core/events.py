@@ -38,21 +38,27 @@ class Event:
 
 def events_from_pandas(pdf: pd.DataFrame, attr_cols: Sequence[str]) -> list[Event]:
     """Convert a pandas frame (columns ``time``, ``etype``, *attr_cols*) to a
-    time-ordered list of :class:`Event`.
+    time-ordered list of :class:`Event`: float times, the ``etype`` values
+    as they are, and float attributes (an int column is cast; NaN stays).
 
     The conversion is the bridge between the Spark/pandas world and the
-    per-partition Python engines; it is deliberately simple and allocation
-    conscious (each column read once as a numpy array, then one pass by row).
+    per-partition Python engines. It runs a column at a time: a frame not
+    yet in time order is sorted (stably), each column is read once as a
+    list, and the attribute dicts are filled one column after another.
     """
-    pdf = pdf.sort_values("time", kind="mergesort")
-    cols = [c for c in attr_cols if c in pdf.columns]
-    times = pdf["time"].to_numpy()
-    etypes = pdf["etype"].to_numpy()
-    attr_arrays = {c: pdf[c].to_numpy() for c in cols}
+    if not pdf["time"].is_monotonic_increasing:
+        pdf = pdf.sort_values("time", kind="mergesort")
+    times = pdf["time"].to_numpy(dtype=float).tolist()
+    attrs: list[dict] = [{} for _ in times]
+    for c in attr_cols:
+        if c in pdf.columns:
+            for a, v in zip(attrs, pdf[c].to_numpy(dtype=float).tolist()):
+                a[c] = v
+    # the dicts are fresh, so the events take them without ``__init__``'s copy
     out: list[Event] = []
-    for i in range(len(pdf)):
-        out.append(
-            Event(times[i], etypes[i], {c: float(attr_arrays[c][i]) for c in cols})
-        )
+    new = Event.__new__
+    for t, et, a in zip(times, pdf["etype"].tolist(), attrs):
+        e = new(Event)
+        e.time, e.etype, e.attrs = t, et, a
+        out.append(e)
     return out
-

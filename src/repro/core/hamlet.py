@@ -43,6 +43,17 @@ as the positions that fail them: the optimizer's match vectors and the
 cuts of the plan's cached tables read them, and the open graphlet holds
 positions only.
 
+Inside a shared graphlet a burst is cut at its divergent events: those a
+sharer fails, and every event when a sharer has an edge predicate. Each
+divergent event takes an event snapshot. Each maximal run of the others,
+``b`` uniform events, is one closed-form update of the graphlet's run
+(``_uniform_run``), with counts kept exact ints. ``coeff_ops`` counts the
+coefficient terms such an update writes, so it does not grow with ``b``.
+The closed form encodes today's tie rule:
+every event of the run counts as later than the ones before it, equal
+times included (ROADMAP item 5a; with the tie fix, ``m`` same-time events
+multiply ``R`` by ``1 + m``, not ``2^m``).
+
 Correctness contract (enforced by tests): for every query the final
 aggregates equal GRETA's and the brute-force enumeration's, for any
 interleaving of sharing decisions.
@@ -68,7 +79,7 @@ class Metrics:
     events: int = 0
     stored_events: int = 0  # graph nodes (shared: once; non-shared: per query)
     ops: int = 0  # predecessor/total accesses (Eq. 4 / Eq. 6 work)
-    coeff_ops: int = 0  # sparse vector term updates (snapshot propagation)
+    coeff_ops: int = 0  # coefficient terms written by closed-form uniform runs
     snapshots_created: int = 0
     bursts: int = 0
     shared_bursts: int = 0
@@ -479,11 +490,22 @@ class HamletSetEngine:
             out = shared["out"]
             plain, recd = p.e_plain.without(out), p.e_recd.without(out)
             rest = rest.without(p.e_open.without(out).idx) if out else None
-        for ev, failed in zip(burst, fails):
-            if shared is not None:
-                self._process_shared_event(ev, plain, recd, failed - out)
-            if rest is not None:
-                # the non-sharers, each on its own totals (Eq. 2)
+            # an event that a sharer fails, or any event when a sharer has
+            # an edge predicate, diverges and takes an event snapshot; each
+            # maximal run of the others is one closed-form update
+            uniform: list[Event] = []
+            for ev, failed in zip(burst, fails):
+                failed = failed - out
+                if failed or recd.idx:
+                    self._uniform_run(uniform)
+                    uniform = []
+                    self._event_snapshot(ev, plain, recd, failed)
+                else:
+                    uniform.append(ev)
+            self._uniform_run(uniform)
+        if rest is not None:
+            # the non-sharers, each on its own totals (Eq. 2)
+            for ev, failed in zip(burst, fails):
                 ker = rest.without(failed)
                 if ker.idx:
                     self._keep(ev, ker, self._eq2(ev, ker))
@@ -537,13 +559,53 @@ class HamletSetEngine:
         self.shared = None
         self.S.gc()
 
-    def _process_shared_event(
+    def _uniform_run(self, evs: Sequence[Event]) -> None:
+        """A run of ``b`` burst events that every sharer matches, as one
+        update of the open graphlet's coefficient vectors. Before the run,
+        the count vector of its first event is ``base = entry + R + ONE``
+        (the ONE term where ``E`` starts a template), and each event
+        doubles the run, so the run's count becomes ``R + (2^b - 1)·base``.
+        A channel ``c`` becomes ``2^b·R_c + (2^b - 1)·entry_c``, plus
+        ``2^(b-1)·(Σ attr)·base`` when its own term is on ``E`` (attr 1
+        for COUNT(E)): event ``j``'s count vector is ``2^j·base``, and the
+        ``b - 1 - j`` events after it double its term."""
+        if not evs:
+            return
+        p, sh = self.plan, self.shared
+        run, entry, b = sh["run"], sh["entry"], len(evs)
+        base: Vec = {(entry, CNT): 1}
+        vadd(base, run[CNT])
+        if p.any_kleene_start:
+            base[ONE_ID, CNT] = base.get((ONE_ID, CNT), 0) + 1
+        grow = 2**b
+        written = len(base)
+        for c, ch in enumerate(p.channels, CNT + 1):
+            r = run[c] = {key: grow * v for key, v in run[c].items()}
+            r[entry, c] = r.get((entry, c), 0) + float(grow - 1)
+            written += len(r)
+            if ch.etype == p.E:
+                total = sum(1.0 if ch.attr is None else e.attrs.get(ch.attr, 0.0) for e in evs)
+                vadd(r, base, 2 ** (b - 1) * total)
+                written += len(base)
+        vadd(run[CNT], base, grow - 1)
+        self.m.coeff_ops += written
+        sh["g"] += b
+        self.m.stored_events += b
+        if sh["mm"]:
+            mm = [p.e_open.mm[j] for j in sh["mm"]]
+            for e in evs:
+                self._minmax(e, mm)
+
+    def _event_snapshot(
         self, e: Event, plain: _Kernel, recd: _Kernel, failed: frozenset
     ) -> None:
-        """One burst event in the open graphlet. ``plain`` and ``recd`` are
-        E's kernel tables at the sharers without and with stored records,
-        and ``failed`` the sharers' positions whose unary predicates on E
-        ``e`` fails."""
+        """A divergent burst event in the open graphlet: an event snapshot
+        holds each matching sharer's Eq. 2 value, zero for the others.
+        ``plain`` and ``recd`` are E's kernel tables at the sharers without
+        and with stored records, and ``failed`` the sharers' positions whose
+        unary predicates on E ``e`` fails. The edge-predicate sharers run
+        the kernel; for the others the graphlet so far (entry plus run)
+        resolves once and stands in for the predecessor sum."""
         p = self.plan
         sh = self.shared
         if failed:
@@ -551,44 +613,22 @@ class HamletSetEngine:
             if not plain.idx and not recd.idx:
                 return
         run = sh["run"]
-        if not failed and not recd.idx:
-            # Eq. 2 over coefficient vectors: the entry snapshot, the events
-            # so far, the start term, then each channel's own attr·count term
-            entry = sh["entry"]
-            cnt: Vec = {(entry, CNT): 1}
-            vadd(cnt, run[CNT])
-            if p.any_kleene_start:
-                cnt[(ONE_ID, CNT)] = cnt.get((ONE_ID, CNT), 0) + 1
-            vecs = [cnt]
-            for i, c in enumerate(p.channels, CNT + 1):
-                v: Vec = {(entry, i): 1.0}
-                vadd(v, run[i])
-                if c.etype == p.E:
-                    vadd(v, cnt, 1.0 if c.attr is None else e.attrs.get(c.attr, 0.0))
-                vecs.append(v)
-            self.m.coeff_ops += sum(len(v) for v in vecs)
-        else:
-            # an event snapshot: each matching sharer's Eq. 2 value, zero
-            # for the others. The edge-predicate sharers run the kernel; for
-            # the others the graphlet so far (entry plus run) resolves once
-            # and stands in for the predecessor sum.
-            cols = self._eq2(e, recd)
-            if plain.idx:
-                so_far = [{(sh["entry"], c): 1 if c == CNT else 1.0} for c in range(len(run))]
-                for v, r in zip(so_far, run):
-                    vadd(v, r)
-                self.m.ops += len(so_far[CNT]) * len(plain.idx)
-                for col, v in zip(cols, so_far):
-                    src = self.S.resolve(v, p.one)
-                    for i in plain.idx:
-                        col[i] = src[i]
-                self._own(e, cols, plain)
-            self._append_recs(e, recd, cols)
-            y = self.S.create(cols)
-            self.m.snapshots_created += 1
-            vecs = [{(y, c): 1 if c == CNT else 1.0} for c in range(len(run))]
-        for dst, v in zip(run, vecs):
-            vadd(dst, v)
+        cols = self._eq2(e, recd)
+        if plain.idx:
+            so_far = [{(sh["entry"], c): 1 if c == CNT else 1.0} for c in range(len(run))]
+            for v, r in zip(so_far, run):
+                vadd(v, r)
+            self.m.ops += len(so_far[CNT]) * len(plain.idx)
+            for col, v in zip(cols, so_far):
+                src = self.S.resolve(v, p.one)
+                for i in plain.idx:
+                    col[i] = src[i]
+            self._own(e, cols, plain)
+        self._append_recs(e, recd, cols)
+        y = self.S.create(cols)
+        self.m.snapshots_created += 1
+        for c, r in enumerate(run):
+            r[y, c] = 1 if c == CNT else 1.0
         sh["g"] += 1
         self.m.stored_events += 1
         if sh["mm"]:

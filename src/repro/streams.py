@@ -157,10 +157,17 @@ def stock_stream(*, minutes=2.0, events_per_min=200, n_groups=4, burst_mean=40.0
 
 def group_events(pdf: pd.DataFrame) -> dict[int, list[Event]]:
     """Partition a stream frame into per-group time-ordered Event lists —
-    what the Spark runtime does with repartition+groupBy."""
+    what the Spark runtime does with repartition+groupBy. The frame is
+    sorted once by ``(gkey, time)`` (stably: equal times keep their input
+    order) and each group's slice converted in key order."""
+    keys = pdf["gkey"].to_numpy()
+    order = np.lexsort((pdf["time"].to_numpy(), keys))
+    pdf, keys = pdf.take(order), keys[order]
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
     return {
-        int(g): events_from_pandas(sub, ATTR_COLS)
-        for g, sub in pdf.groupby("gkey", sort=True)
+        int(keys[a]): events_from_pandas(pdf.iloc[a:b], ATTR_COLS)
+        for a, b in zip(bounds, bounds[1:])
+        if a < b
     }
 
 

@@ -36,6 +36,32 @@ def test_sharon_equals_greta(seed):
         assert got.results[key]["COUNT(*)"] == ref.results[key]["COUNT(*)"]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_sharon_asks_only_predicate_queries(seed, monkeypatch):
+    """Patterns shared by queries without predicates match every event, so
+    SHARON asks ``Query.matches`` only for a query with a predicate; its
+    counts still equal GRETA's."""
+    events = random_events(seed + 1200, n_max=20, types="ABCD")
+    qs = [
+        _q("a", seq(Atom("A"), Kleene("B"))),
+        _q("a2", seq(Atom("A"), Kleene("B"))),
+        _q("p", seq(Atom("A"), Kleene("B")), where={"B": (Pred("v", ">=", 4),)}),
+    ]
+    ref = run_system(events, qs, "greta")
+    asked = set()
+    matches = Query.matches
+
+    def counted(q, e):
+        asked.add(q.qid)
+        return matches(q, e)
+
+    monkeypatch.setattr(Query, "matches", counted)
+    got = run_system(events, qs, "sharon")
+    assert asked <= {"p"} and (asked or not events)
+    for key in ref.results:
+        assert got.results[key]["COUNT(*)"] == ref.results[key]["COUNT(*)"]
+
+
 def test_sharon_l_estimate_bounds_completeness():
     """Flattened workloads only cover matches up to l Kleene events —
     a too-small compile-time estimate loses long trends (why SHARON must

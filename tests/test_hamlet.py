@@ -428,12 +428,14 @@ def test_kernel_equals_greta(k, mode):
 
 # the work counters of one window over ``_bursty_events(0)``, per query pool
 # and mode, as recorded before the per-event kernel replaced the per-query
-# Eq. 2 path: a change to the engine's work accounting shows here
+# Eq. 2 path: a change to the engine's work accounting shows here. The
+# dynamic ``coeff_ops`` are those of closed-form uniform runs (one update per
+# run, not one per event)
 _PINNED_COUNTERS = {
-    ("column", "dynamic"): (6081, 150, 55, 61, 17576),
+    ("column", "dynamic"): (6081, 150, 11, 61, 17576),
     ("column", "static"): (6406, 134, 0, 66, 17064),
     ("column", "nonshared"): (4128, 1049, 0, 0, 39144),
-    ("kernel", "dynamic"): (6270, 160, 75, 61, 27440),
+    ("kernel", "dynamic"): (6270, 160, 15, 61, 27440),
     ("kernel", "static"): (6601, 147, 0, 66, 27024),
     ("kernel", "nonshared"): (4329, 1090, 0, 0, 42000),
 }
@@ -515,3 +517,149 @@ def test_kernel_view_cache_evicts(mode):
         ker = tables.pop()
         assert len(ker.views) <= _MAX_VIEWS
         tables += ker.views.values()
+
+
+# -- closed-form uniform runs in a shared graphlet ---------------------------
+
+# (pattern, the type its MIN/MAX can be on: an end type, the other type
+# whose SUM enters the graphlet through its entry snapshot)
+_UNIFORM_PATTERNS = {
+    "prefix": (seq(Atom("A"), Kleene("B")), "B", "A"),
+    "kleene_start": (seq(Kleene("B"), Atom("D")), "D", "D"),  # the ONE term
+    "neg_mid": (seq(Atom("A"), Neg("N"), Kleene("B")), "B", "A"),
+    "suffix": (seq(Atom("A"), Kleene("B"), Atom("C")), "C", "A"),
+}
+
+
+def _uniform_set(pattern):
+    """Three sharers of one pattern's B's, none with a predicate: COUNT(*),
+    COUNT(B), SUM and AVG on B, and SUM on another type; MIN and MAX on the
+    end type; COUNT(*)."""
+    elems, end, other = _UNIFORM_PATTERNS[pattern]
+    return [
+        Query(qid="lin", elems=elems, aggs=(
+            AggSpec("COUNT_STAR"), AggSpec("COUNT_E", "B"), AggSpec("SUM", "B", "v"),
+            AggSpec("AVG", "B", "v"), AggSpec("SUM", other, "v"),
+        )),
+        Query(qid="ext", elems=elems, aggs=(
+            AggSpec("COUNT_STAR"), AggSpec("MIN", end, "v"), AggSpec("MAX", end, "v"),
+        )),
+        Query(qid="cnt", elems=elems),
+    ]
+
+
+def _uniform_events(b):
+    """Two A's with an N between them, a C, then a run of ``b`` B's with
+    float values, then a D and a C."""
+    evs = [_ev(0.0, "A", 3.0), _ev(0.3, "N", 1.0), _ev(0.6, "A", 2.0), _ev(0.8, "C", 4.0)]
+    evs += [_ev(1.0 + i, "B", 0.5 + (i * 7) % 10) for i in range(b)]
+    return evs + [_ev(b + 1.0, "D", 6.0), _ev(b + 2.0, "C", 8.0)]
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+@pytest.mark.parametrize("pattern", sorted(_UNIFORM_PATTERNS))
+def test_uniform_runs_match_brute(pattern, mode):
+    """A burst of 1-12 B's that every sharer matches is one closed-form
+    update, and its results equal brute force: COUNT(*), COUNT(E), SUM,
+    AVG, MIN and MAX, with and without the ONE term and a negation cut."""
+    qs = windowed(_uniform_set(pattern), 100.0)
+    for b in range(1, 13):
+        evs = _uniform_events(b)
+        eng = HamletPlan(qs, mode=mode).new_engine()
+        for e in evs:
+            eng.on_event(e)
+        eng.end_window()
+        # no event snapshot: the entry snapshot alone when shared
+        assert eng.m.snapshots_created == (0 if mode == "nonshared" else 1), b
+        got = eng.results()
+        for q in qs:
+            assert_matches_brute(evs, q, got[q.qid])
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+def test_uniform_runs_across_panes_and_foreign_types(mode):
+    """Bursts cut by pane boundaries, with events of types outside every
+    template inside them: each pane's run is a closed-form update of the
+    one graphlet, and the results equal brute force."""
+    for pattern in sorted(_UNIFORM_PATTERNS):
+        qs = windowed(_uniform_set(pattern), 2.0)
+        evs = [_ev(0.0, "A", 3.0), _ev(0.2, "C", 1.0)]
+        for i in range(11):
+            evs.append(_ev(0.5 + i * 0.7, "B", float(i % 4)))
+            if i % 3 == 1:
+                evs.append(_ev(0.8 + i * 0.7, "X" if i % 2 else "Z", 5.0))
+        evs += [_ev(9.0, "D", 2.0), _ev(9.5, "C", 7.0)]
+        eng = HamletPlan(qs, mode=mode).new_engine()
+        for e in evs:
+            eng.on_event(e)
+        eng.end_window()
+        assert eng.m.bursts == 4  # one per pane: the B's span panes 0-3
+        assert eng.m.snapshots_created == (0 if mode == "nonshared" else 1)
+        got = eng.results()
+        for q in qs:
+            assert_matches_brute(evs, q, got[q.qid])
+
+
+def test_predicate_failures_cut_a_burst_into_uniform_runs():
+    """Static mode: a sharer's predicate fails at two events mid-burst.
+    Those take event snapshots; the runs before, between and after them
+    are closed-form updates, and the results equal brute force."""
+    aggs = (AggSpec("COUNT_STAR"), AggSpec("SUM", "B", "v"), AggSpec("MAX", "B", "v"))
+    qs = windowed([
+        Query(qid="all", elems=seq(Atom("A"), Kleene("B")), aggs=aggs),
+        Query(qid="big", elems=seq(Atom("A"), Kleene("B")), aggs=aggs,
+              where={"B": (Pred("v", ">=", 5),)}),
+        Query(qid="pre", elems=seq(Atom("C"), Kleene("B")), aggs=aggs),
+    ], 100.0)
+    values = [9.0, 6.5, 1.0, 7.0, 8.0, 9.5, 2.0, 5.0]
+    evs = [_ev(0.0, "A", 1.0), _ev(0.5, "C", 1.0)]
+    evs += [_ev(1.0 + i, "B", v) for i, v in enumerate(values)]
+    eng = HamletPlan(qs, mode="static").new_engine()
+    for e in evs:
+        eng.on_event(e)
+    eng.end_window()
+    assert eng.m.snapshots_created == 1 + 2  # the entry and the two failures
+    assert eng.m.coeff_ops > 0  # three uniform runs
+    got = eng.results()
+    for q in qs:
+        assert_matches_brute(evs, q, got[q.qid])
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+def test_long_uniform_burst_counts_exactly(mode):
+    """One A and 1,100 B's: the exact count is 2^1100 - 1 in every mode. A
+    SUM over the burst leaves double range: it raises ``OverflowError``
+    rather than give inf or NaN (ROADMAP item 5a)."""
+    evs = [_ev(0.0, "A")] + [_ev(1.0 + i, "B", 1.0) for i in range(1100)]
+    eng = _mk_engine([Q1, Q2], mode=mode, pane=2000.0)
+    for e in evs:
+        eng.on_event(e)
+    eng.end_window()
+    assert eng.exact_counts() == {"q1": 2**1100 - 1, "q2": 0}
+    both = [Q1, Query(qid="s", elems=Q1.elems, aggs=(AggSpec("SUM", "B", "v"),))]
+    with pytest.raises(OverflowError):
+        eng = _mk_engine(both, mode=mode, pane=2000.0)
+        for e in evs:
+            eng.on_event(e)
+        eng.end_window()
+        eng.results()
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+def test_uniform_run_cost_does_not_grow_with_its_length(mode):
+    """A uniform burst creates no snapshot beyond the graphlet's entry, and
+    its coefficient work is the same for 3 events as for 300."""
+    aggs = (AggSpec("COUNT_STAR"), AggSpec("SUM", "B", "v"), AggSpec("COUNT_E", "B"))
+    qs = [Query(qid=f"q{i}", elems=seq(Atom("AC"[i % 2]), Kleene("B")), aggs=aggs) for i in range(4)]
+
+    def counters(b):
+        eng = _mk_engine(qs, mode=mode, pane=1000.0)
+        for e in [_ev(0.0, "A"), _ev(0.5, "C")] + [_ev(1.0 + i, "B", 0.25) for i in range(b)]:
+            eng.on_event(e)
+        eng.end_window()
+        return eng.m
+
+    short, long_ = counters(3), counters(300)
+    assert short.snapshots_created == long_.snapshots_created == 1
+    assert short.coeff_ops == long_.coeff_ops > 0
+    assert long_.stored_events - short.stored_events == 297

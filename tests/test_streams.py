@@ -98,3 +98,55 @@ def test_attr_ranges_per_dataset():
 def test_ridesharing_has_20_event_types():
     pdf = ridesharing_stream(minutes=2.0, events_per_min=2000, n_groups=2, seed=9)
     assert pdf["etype"].nunique() == 20
+
+
+def _row_at_a_time(pdf, attr_cols):
+    """The row-at-a-time conversion ``group_events`` replaced: per group,
+    a stable time sort, then one dict per row from numpy scalars."""
+    from repro.core.events import Event
+
+    out = {}
+    for g, sub in pdf.groupby("gkey", sort=True):
+        sub = sub.sort_values("time", kind="mergesort")
+        cols = [c for c in attr_cols if c in sub.columns]
+        times, etypes = sub["time"].to_numpy(), sub["etype"].to_numpy()
+        arrays = {c: sub[c].to_numpy() for c in cols}
+        out[int(g)] = [
+            Event(times[i], etypes[i], {c: float(arrays[c][i]) for c in cols})
+            for i in range(len(sub))
+        ]
+    return out
+
+
+def test_group_events_equals_row_at_a_time_conversion():
+    """Unsorted input with equal times, an int attribute column and a NaN:
+    the events equal the row-at-a-time conversion's, field for field and
+    type for type (float time, str type, float attributes)."""
+    rng = np.random.default_rng(4)
+    n = 300
+    pdf = pd.DataFrame({
+        "time": rng.integers(0, 60, n).astype(float),  # many equal times
+        "etype": rng.choice(list("ABCT"), n),
+        "gkey": rng.integers(0, 5, n),
+        "v": rng.integers(-3, 50, n),  # an int column
+        "w": rng.random(n),
+    })
+    pdf.loc[7, "w"] = np.nan
+    pdf = pdf.astype({"etype": object})
+    assert pdf["v"].dtype.kind == "i" and not pdf["time"].is_monotonic_increasing
+    got, want = group_events(pdf), _row_at_a_time(pdf, ATTR_COLS)
+    assert list(got) == list(want)
+    nan_seen = False
+    for g in want:
+        assert len(got[g]) == len(want[g])
+        for a, b in zip(got[g], want[g]):
+            assert type(a.time) is type(b.time) is float and a.time == b.time
+            assert type(a.etype) is type(b.etype) is str and a.etype == b.etype
+            assert list(a.attrs) == list(b.attrs) == list(ATTR_COLS)
+            for c in ATTR_COLS:
+                x, y = a.attrs[c], b.attrs[c]
+                assert type(x) is type(y) is float
+                assert x == y or (np.isnan(x) and np.isnan(y))
+                nan_seen |= bool(np.isnan(x))
+    assert nan_seen
+    assert group_events(pdf.iloc[:0]) == {}
