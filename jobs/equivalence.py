@@ -150,15 +150,16 @@ def _within(path: tuple, a, b, rel_tol: float) -> bool:
 
 
 def differences(a: dict, b: dict, rel_tol: float = 0.0) -> dict[str, list]:
-    """``{field: [(case, path, a value, b value), ...]}``: every difference
-    between two dumps by field, the path without its case and list indexes
-    (``metrics.coeff_ops``, ``results.SUM(T.v)``), in case order. A result
-    aggregate other than COUNT(*) within ``rel_tol`` is not a difference."""
+    """``{field: [(path, a value, b value), ...]}``: every difference
+    between two dumps, by field, in case order. A field is a path without
+    its case and list indexes (``metrics.coeff_ops``, ``results.SUM(T.v)``).
+    A result aggregate other than COUNT(*) within ``rel_tol`` is not a
+    difference."""
     out: dict[str, list] = {}
     for path, x, y in leaf_differences(a, b):
         if not _within(path, x, y, rel_tol):
             field = ".".join(str(k) for k in path[1:] if not isinstance(k, int)) or "<case>"
-            out.setdefault(field, []).append((path[0], path, x, y))
+            out.setdefault(field, []).append((path, x, y))
     return out
 
 
@@ -188,9 +189,9 @@ def main(argv=None) -> int:
     if diffs:
         print(f"DIFFERENT: {len(diffs)} field(s)")
         for field, where in diffs.items():
-            case, path, x, y = where[0]
-            at = ".".join(map(str, path))
-            print(f"  {field}: {len({w[0] for w in where})} cases; first {at}: {x!r} != {y!r}")
+            path, x, y = where[0]
+            cases = len({p[0] for p, _, _ in where})
+            print(f"  {field}: {cases} cases; first {'.'.join(map(str, path))}: {x!r} != {y!r}")
         return 1
     tol = f" (aggregates within {args.rel_tol:g})" if args.rel_tol else ""
     print(f"{len(a)} cases identical{tol}")
