@@ -13,20 +13,22 @@ def _ev(t, et, v=0.0):
     return Event(t, et, {"v": v})
 
 
-def _snapshots(queries, evs) -> list:
+def record_snapshots(queries, evs) -> list:
     """Run a static engine over ``evs``; return the (q1, q2) counts of every
-    snapshot it creates, in creation order (a closed graphlet's snapshots
-    are dropped, so they are recorded as they are made)."""
+    snapshot it creates, in creation order. A graphlet's snapshots are
+    dropped with it, so each graphlet's are read as it closes."""
     eng = HamletPlan(queries, mode="static").new_engine()
     vals = []
-    create = eng.S.create
+    close = eng._close_graphlet
 
-    def record(cols):
-        by_q = eng.plan.by_query(cols)
-        vals.append((by_q["q1"][CNT], by_q["q2"][CNT]))
-        return create(cols)
+    def record():
+        if eng.graphlet is not None:
+            for cols in eng.graphlet.snaps:
+                by_q = eng.plan.by_query(cols)
+                vals.append((by_q["q1"][CNT], by_q["q2"][CNT]))
+        close()
 
-    eng.S.create = record
+    eng._close_graphlet = record
     for e in evs:
         eng.on_event(e)
     eng.end_window()
@@ -49,11 +51,11 @@ def main() -> None:
     for i in range(4):
         eng.on_event(_ev(3 + i, "B"))
         eng._flush_burst()  # white-box: each event through the graphlet
-        sums.append(eng.S.resolve(eng.shared["run"][CNT], eng.plan.one)[eng.plan.pos["q1"]])
+        sums.append(eng.graphlet.values(eng.plan.one)[CNT][eng.plan.pos["q1"]])
     rows.append(("Table 3", "B3 run sum, q1", "2/6/14/30", "/".join(map(str, sums))))
 
     # Table 4 (Fig. 5(a-b)): the graphlet entry snapshots x and y
-    x, y = _snapshots([q1, q2], prefix + [_ev(3 + i, "B") for i in range(4)] + tail + [_ev(12, "B")])[:2]
+    x, y = record_snapshots([q1, q2], prefix + [_ev(3 + i, "B") for i in range(4)] + tail + [_ev(12, "B")])[:2]
     rows.append(("Table 4", "x", "(2, 1)", f"({x[0]}, {x[1]})"))
     rows.append(("Table 4", "y", "(34, 19)", f"({y[0]}, {y[1]})"))
 
@@ -61,7 +63,7 @@ def main() -> None:
     # every event of its graphlet is an event snapshot: x, b3..b6, then y
     q2e = Query(qid="q2", elems=seq(Atom("C"), Kleene("B")), edge_pred=EdgePred("v", "<="))
     burst = [_ev(3, "B", 1), _ev(4, "B", 5), _ev(5, "B", 2), _ev(6, "B", 9)]
-    _, _, _, z, _, y = _snapshots([q1, q2e], prefix + burst + tail + [_ev(12, "B", 9)])[:6]
+    _, _, _, z, _, y = record_snapshots([q1, q2e], prefix + burst + tail + [_ev(12, "B", 9)])[:6]
     rows.append(("Table 5", "z", "(8, 2)", f"({z[0]}, {z[1]})"))
     rows.append(("Table 5", "y", "(34, 15)", f"({y[0]}, {y[1]})"))
 

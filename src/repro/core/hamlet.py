@@ -6,12 +6,13 @@ over one (group, window instance). Events of the shared Kleene type are
 buffered into *bursts* (Definition 10); per complete burst the dynamic
 optimizer picks the sharing plan (``optimizer.choose_plan``); shared
 bursts extend a *shared graphlet* whose per-event intermediate
-aggregates are snapshot coefficient vectors (``snapshots.Vec``), while
+aggregates are coefficient vectors over snapshots, while
 non-shared members propagate on their own totals (Eq. 2). Graphlet
 *split* and *merge* (§4.2) happen implicitly when consecutive bursts
 choose different sharer sets: the active graphlet is resolved
 (collapsed) and a new one opens with a fresh entry snapshot — the
-paper's consolidation snapshot ``z``.
+paper's consolidation snapshot ``z``. The open graphlet, its snapshots
+and its vectors are one ``snapshots.Graphlet``, dropped when it closes.
 
 The set's static analysis (templates, channels, per-type tables) is a
 :class:`HamletPlan`, built once from the queries alone; each window
@@ -35,7 +36,7 @@ and a burst's non-sharers run the kernel, and a negative event copies the
 totals into the cuts at its positions. A shared graphlet's entry
 snapshot is the same predecessor pass over the sharers; closing it
 resolves each coefficient vector for all of them at once
-(``SnapshotTable.resolve``). Only an edge-predicate query reads its
+(``Graphlet.resolve``). Only an edge-predicate query reads its
 Kleene predecessors per query, from its stored records.
 
 A burst event's unary predicates on the Kleene type are evaluated once,
@@ -47,7 +48,7 @@ Inside a shared graphlet a burst is cut at its divergent events: those a
 sharer fails, and every event when a sharer has an edge predicate. Each
 divergent event takes an event snapshot. Each maximal run of the others,
 ``b`` uniform events, is one closed-form update of the graphlet's run
-(``_uniform_run``), with counts kept exact ints. ``coeff_ops`` counts the
+(``Graphlet.add_run``), with counts kept exact ints. ``coeff_ops`` counts the
 coefficient terms such an update writes, so it does not grow with ``b``.
 The closed form encodes today's tie rule:
 every event of the run counts as later than the ones before it, equal
@@ -68,7 +69,7 @@ from .events import Event
 from .greta import CNT, Channel, aggregates, channels_for, zero
 from .optimizer import BurstStats, choose_plan
 from .queries import Query
-from .snapshots import ONE_ID, SnapshotTable, Vec, vadd
+from .snapshots import Graphlet
 from .template import Template, build_template, pane_size
 
 
@@ -158,7 +159,7 @@ class HamletPlan:
 
     It holds the queries, their templates, the set's aggregate channels,
     each query's position in the runtime columns, the ONE snapshot's
-    columns, the Eq. 2 kernel tables of every event type, the entry
+    count column, the Eq. 2 kernel tables of every event type, the entry
     snapshot's predecessor edges and the optimizer's constant inputs. A
     plan is built once per executor entry and never changed afterwards
     (apart from the kernel tables' caches of restricted copies), so all
@@ -189,14 +190,11 @@ class HamletPlan:
         self.channels = tuple(chans)
         self.nch = len(chans)
         self.zero = tuple(zero(self.nch))
-        # the ONE snapshot's columns: the start term of a Kleene event. They
-        # are the plan's, shared by every engine and never in its runtime
-        # state
-        self.one = (
-            tuple(1 if self.E in self.tpls[q.qid].start else 0 for q in self.qs),
-            *((z,) * self.k for z in self.zero[CNT + 1:]),
-        )
-        self.any_kleene_start = any(self.one[CNT])
+        # the ONE snapshot's count column (its channels are zero): the start
+        # term of a Kleene event. It is the plan's, shared by every engine
+        # and never in its runtime state
+        self.one = tuple(1 if self.E in self.tpls[q.qid].start else 0 for q in self.qs)
+        self.any_kleene_start = any(self.one)
         self.types = frozenset().union(*(t.types for t in self.tpls.values()))
         self.kernels = {t: self._kernel(t) for t in self.types}
         ker = self.kernels.get(self.E) or self._kernel(self.E)  # empty if E is None
@@ -299,7 +297,6 @@ class HamletSetEngine:
 
     def __init__(self, plan: HamletPlan):
         self.plan = plan
-        self.S = SnapshotTable()
         # per-query state, columnar: one column per value index [count,
         # channels...], the query at position plan.pos[qid] -----------------
         self.totals: dict[str, list[list]] = {t: plan.zero_columns() for t in plan.types}
@@ -317,8 +314,8 @@ class HamletSetEngine:
         self.mm: dict[tuple, list] = {
             (qid, name): [math.inf, -math.inf] for ker in plan.kernels.values() for _, qid, name, _ in ker.mm
         }
-        # shared graphlet state --------------------------------------------
-        self.shared: Optional[dict] = None
+        # the open shared graphlet, if any ---------------------------------
+        self.graphlet: Optional[Graphlet] = None
         self.burst: list[Event] = []
         self._pane_idx: Optional[int] = None
         self.n_so_far = 0
@@ -458,17 +455,12 @@ class HamletSetEngine:
             if p.mode == "dynamic" else {},
             edge_pred_qids=p.edge_pred_qids,
         )
-        cur = self.shared["sharers"] if self.shared else frozenset()
+        gr = self.graphlet
         decision = choose_plan(
-            stats,
-            mode=p.mode,
-            n_so_far=self.n_so_far,
-            g_active=self.shared["g"] if self.shared else 0,
-            # the snapshots the run references: its count vector has one
-            # key per snapshot, and the channel vectors reference no others
-            s_p_live=len(self.shared["run"][CNT]) if self.shared else 0,
-            p_avg=p.p_avg,
+            stats, mode=p.mode, n_so_far=self.n_so_far, g_active=gr.g if gr else 0,
+            s_p_live=gr.live() if gr else 0, p_avg=p.p_avg,
         )
+        cur = gr.sharers if gr else frozenset()
         self.m.bursts += 1
         self.m.decisions += 1
         self.m.plans_considered += decision.plans_considered
@@ -484,10 +476,10 @@ class HamletSetEngine:
         # E's kernel tables at the sharers' positions (without and with
         # stored records) and at the non-sharers', once per burst; each
         # event then cuts the positions it fails
-        shared = self.shared
+        gr = self.graphlet
         rest = p.kernels[p.E]
-        if shared is not None:
-            out = shared["out"]
+        if gr is not None:
+            out = gr.out
             plain, recd = p.e_plain.without(out), p.e_recd.without(out)
             rest = rest.without(p.e_open.without(out).idx) if out else None
             # an event that a sharer fails, or any event when a sharer has
@@ -520,85 +512,48 @@ class HamletSetEngine:
         out = frozenset()
         if len(sharers) < p.k:
             out = frozenset(range(p.k)).difference(p.pos[qid] for qid in sharers)
-        ker = p.e_open.without(out)
-        cols = self._preds(ker.edges)
-        sid = self.S.create(cols)
+        cols = self._preds(p.e_open.without(out).edges)
         self.m.snapshots_created += 1
-        self.shared = {
-            "sharers": sharers,
-            # the non-sharers' positions: the plan's tables cut by them are
-            # the graphlet's (kernel tables stay out of the runtime state)
-            "out": out,
-            "entry": sid,
-            # the events so far, one coefficient vector per value index
-            "run": [{} for _ in range(1 + p.nch)],
-            "g": 0,
-            # the MIN/MAX entries (indexes into ``e_open.mm``) of the
-            # sharers that take part: entry count > 0 or E starts the template
-            "mm": tuple(
-                j
-                for j, (i, *_) in enumerate(p.e_open.mm)
-                if i not in out and (cols[CNT][i] > 0 or p.one[CNT][i])
-            ),
-        }
+        # the MIN/MAX entries of the sharers that take part: entry count > 0
+        # or E starts the template
+        mm = tuple(
+            j for j, (i, *_) in enumerate(p.e_open.mm) if i not in out and (cols[CNT][i] > 0 or p.one[i])
+        )
+        self.graphlet = Graphlet(sharers, out, cols, mm)
 
     def _close_graphlet(self) -> None:
         """Resolve the open graphlet for all sharers at once and add its
         events' values to ``E``'s totals and, where ``E`` ends the
         template, to the results."""
-        sh = self.shared
-        if sh is None:
+        gr = self.graphlet
+        if gr is None:
             return
         p = self.plan
-        run = sh["run"]
-        vals = [self.S.resolve(v, p.one) for v in run]
-        self.m.ops += len(sh["sharers"]) * len(run[CNT])
-        ker = p.e_open.without(sh["out"])
+        vals = gr.values(p.one)
+        self.m.ops += len(gr.sharers) * gr.live()
+        ker = p.e_open.without(gr.out)
         _add_at(self.totals[p.E], vals, ker.idx)
         _add_at(self.res, vals, ker.ends)
-        self.shared = None
-        self.S.gc()
+        self.graphlet = None
 
     def _uniform_run(self, evs: Sequence[Event]) -> None:
-        """A run of ``b`` burst events that every sharer matches, as one
-        update of the open graphlet's coefficient vectors. Before the run,
-        the count vector of its first event is ``base = entry + R + ONE``
-        (the ONE term where ``E`` starts a template), and each event
-        doubles the run, so the run's count becomes ``R + (2^b - 1)·base``.
-        A channel ``c`` becomes ``2^b·R_c + (2^b - 1)·entry_c``, plus
-        ``2^(b-1)·(Σ attr)·base`` when its own term is on ``E`` (attr 1
-        for COUNT(E)): event ``j``'s count vector is ``2^j·base``, and the
-        ``b - 1 - j`` events after it double its term."""
+        """A run of burst events that every sharer matches: one closed-form
+        update of the open graphlet (``Graphlet.add_run``)."""
         if not evs:
             return
-        p, sh = self.plan, self.shared
-        run, entry, b = sh["run"], sh["entry"], len(evs)
-        base: Vec = {(entry, CNT): 1}
-        vadd(base, run[CNT])
-        if p.any_kleene_start:
-            base[ONE_ID, CNT] = base.get((ONE_ID, CNT), 0) + 1
-        grow = 2**b
-        written = len(base)
-        for c, ch in enumerate(p.channels, CNT + 1):
-            r = run[c] = {key: grow * v for key, v in run[c].items()}
-            r[entry, c] = r.get((entry, c), 0) + float(grow - 1)
-            written += len(r)
-            if ch.etype == p.E:
-                total = sum(1.0 if ch.attr is None else e.attrs.get(ch.attr, 0.0) for e in evs)
-                vadd(r, base, 2 ** (b - 1) * total)
-                written += len(base)
-        vadd(run[CNT], base, grow - 1)
-        self.m.coeff_ops += written
-        sh["g"] += b
-        self.m.stored_events += b
-        if sh["mm"]:
-            mm = [p.e_open.mm[j] for j in sh["mm"]]
+        p, gr = self.plan, self.graphlet
+        sums = [
+            sum(1.0 if ch.attr is None else e.attrs.get(ch.attr, 0.0) for e in evs) if ch.etype == p.E else None
+            for ch in p.channels
+        ]
+        self.m.coeff_ops += gr.add_run(len(evs), sums, p.any_kleene_start)
+        self.m.stored_events += len(evs)
+        if gr.mm:
+            mm = [p.e_open.mm[j] for j in gr.mm]
             for e in evs:
                 self._minmax(e, mm)
 
-    def _event_snapshot(
-        self, e: Event, plain: _Kernel, recd: _Kernel, failed: frozenset
-    ) -> None:
+    def _event_snapshot(self, e: Event, plain: _Kernel, recd: _Kernel, failed: frozenset) -> None:
         """A divergent burst event in the open graphlet: an event snapshot
         holds each matching sharer's Eq. 2 value, zero for the others.
         ``plain`` and ``recd`` are E's kernel tables at the sharers without
@@ -606,34 +561,26 @@ class HamletSetEngine:
         unary predicates on E ``e`` fails. The edge-predicate sharers run
         the kernel; for the others the graphlet so far (entry plus run)
         resolves once and stands in for the predecessor sum."""
-        p = self.plan
-        sh = self.shared
+        p, gr = self.plan, self.graphlet
         if failed:
             plain, recd = plain.without(failed), recd.without(failed)
             if not plain.idx and not recd.idx:
                 return
-        run = sh["run"]
         cols = self._eq2(e, recd)
         if plain.idx:
-            so_far = [{(sh["entry"], c): 1 if c == CNT else 1.0} for c in range(len(run))]
-            for v, r in zip(so_far, run):
-                vadd(v, r)
-            self.m.ops += len(so_far[CNT]) * len(plain.idx)
-            for col, v in zip(cols, so_far):
-                src = self.S.resolve(v, p.one)
+            so_far, n = gr.so_far(p.one)
+            self.m.ops += n * len(plain.idx)
+            for col, src in zip(cols, so_far):
                 for i in plain.idx:
                     col[i] = src[i]
             self._own(e, cols, plain)
         self._append_recs(e, recd, cols)
-        y = self.S.create(cols)
+        gr.add_snapshot(cols)
         self.m.snapshots_created += 1
-        for c, r in enumerate(run):
-            r[y, c] = 1 if c == CNT else 1.0
-        sh["g"] += 1
         self.m.stored_events += 1
-        if sh["mm"]:
+        if gr.mm:
             mm = p.e_open.mm
-            self._minmax(e, [mm[j] for j in sh["mm"] if mm[j][0] not in failed])
+            self._minmax(e, [mm[j] for j in gr.mm if mm[j][0] not in failed])
 
     # -- window close ----------------------------------------------------
     def end_window(self) -> None:
@@ -645,14 +592,10 @@ class HamletSetEngine:
         """Analytic peak-memory estimate (bytes) — DESIGN.md substitutions."""
         # snapshot entries, one per (snapshot, query it covers): ONE covers
         # all k queries; every snapshot of the open graphlet, its sharers
-        coeffs = 0
-        snap_entries = self.plan.k
-        if self.shared is not None:
-            coeffs = sum(len(run) for run in self.shared["run"])
-            snap_entries += len(self.S.vals) * len(self.shared["sharers"])
+        coeffs, snaps = self.graphlet.size() if self.graphlet is not None else (0, 0)
         mem = (
             self.m.stored_events * 32
-            + snap_entries * 16 * (1 + self.plan.nch)
+            + (self.plan.k + snaps) * 16 * (1 + self.plan.nch)
             + coeffs * 16
             + self.n_krecs * 32
             + self.plan.totals_entries * 24

@@ -12,6 +12,7 @@ into Spark workers by closure.
 """
 from __future__ import annotations
 
+import math
 import operator as _operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
@@ -28,6 +29,12 @@ _OPS = {
 }
 
 
+def _check_op(op: str) -> None:
+    # an unknown operator would fail only when an event reaches the query
+    if op not in _OPS:
+        raise ValueError(f"unknown operator {op!r}")
+
+
 @dataclass(frozen=True)
 class Pred:
     """Unary predicate ``event.attr <op> value`` on one event type."""
@@ -35,6 +42,9 @@ class Pred:
     attr: str
     op: str
     value: float
+
+    def __post_init__(self):
+        _check_op(self.op)
 
     def ok(self, e: Event) -> bool:
         return _OPS[self.op](e.attrs.get(self.attr, 0.0), self.value)
@@ -51,6 +61,9 @@ class EdgePred:
 
     attr: str
     op: str
+
+    def __post_init__(self):
+        _check_op(self.op)
 
     def ok(self, prev: Event, cur: Event) -> bool:
         return _OPS[self.op](prev.attrs.get(self.attr, 0.0), cur.attrs.get(self.attr, 0.0))
@@ -145,6 +158,13 @@ class Query:
     window: float = 60.0
     slide: float = 60.0
     groupby: str = "gkey"
+
+    def __post_init__(self):
+        # a slide <= 0 never advances the window instances
+        for name in ("window", "slide"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{self.qid}: {name} must be finite and > 0, got {v!r}")
 
     def __hash__(self) -> int:
         return hash(self.qid)

@@ -18,6 +18,16 @@ Q1 = Query(qid="q1", elems=seq(Atom("A"), Kleene("B")))
 Q2 = Query(qid="q2", elems=seq(Atom("C"), Kleene("B")))
 
 
+def _job():
+    """jobs/paper_examples.py as a module: its recorder reads every
+    snapshot an engine creates."""
+    path = Path(__file__).resolve().parents[1] / "jobs" / "paper_examples.py"
+    spec = importlib.util.spec_from_file_location("paper_examples", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    return job
+
+
 def _ev(t, et, v=0.0):
     return Event(t, et, {"v": v})
 
@@ -32,22 +42,6 @@ def _stream_fig5ab():
     return evs
 
 
-def _recording_engine(queries):
-    """A static engine over ``queries`` plus the values of every snapshot
-    it creates, by id, recorded from outside the engine."""
-    eng = HamletPlan(queries, mode="static").new_engine()
-    created = {}
-    create = eng.S.create
-
-    def record(cols):
-        sid = create(cols)
-        created[sid] = eng.plan.by_query(cols)
-        return sid
-
-    eng.S.create = record
-    return eng, created
-
-
 def test_table3_shared_propagation_doubles():
     """Table 3: counts within B3 are x, 2x, 4x, 8x — via the shared vector
     the engine's intermediate sums resolve to value(x,q)·{1,2,4,8}."""
@@ -58,7 +52,7 @@ def test_table3_shared_propagation_doubles():
     for i in range(4):
         eng.on_event(_ev(3 + i, "B"))
         eng._flush_burst()  # white-box: force the buffered burst through
-        counts = eng.S.resolve(eng.shared["run"][CNT], eng.plan.one)
+        counts = eng.graphlet.values(eng.plan.one)[CNT]
         counts_q1.append(counts[eng.plan.pos["q1"]])
         counts_q2.append(counts[eng.plan.pos["q2"]])
     # running sums after each event: x,3x,7x,15x with x=2 (q1) / x=1 (q2)
@@ -68,15 +62,10 @@ def test_table3_shared_propagation_doubles():
 
 def test_table4_snapshot_values():
     """Table 4: value(x,q1)=2, value(x,q2)=1; value(y,q1)=34, value(y,q2)=19."""
-    eng, vals = _recording_engine([Q1, Q2])
-    for e in _stream_fig5ab():
-        eng.on_event(e)
-    eng.end_window()
-    # snapshot ids: x=first entry, y=second entry
-    sids = sorted(vals)
-    x, y = sids[0], sids[1]
-    assert vals[x]["q1"][0] == 2 and vals[x]["q2"][0] == 1
-    assert vals[y]["q1"][0] == 34 and vals[y]["q2"][0] == 19
+    # (q1, q2) counts in creation order: x=first entry, y=second entry
+    x, y = _job().record_snapshots([Q1, Q2], _stream_fig5ab())[:2]
+    assert x[0] == 2 and x[1] == 1
+    assert y[0] == 34 and y[1] == 19
 
 
 def test_table5_event_snapshot_z():
@@ -88,12 +77,8 @@ def test_table5_event_snapshot_z():
     evs += [_ev(3, "B", 1), _ev(4, "B", 5), _ev(5, "B", 2), _ev(6, "B", 9)]
     evs += [_ev(7, "A"), _ev(8, "A"), _ev(9, "C"), _ev(10, "C"), _ev(11, "C")]
     evs += [_ev(12, "B", 9)]
-    eng, all_vals = _recording_engine([Q1, q2])
-    for e in evs:
-        eng.on_event(e)
-    eng.end_window()
     # find the event snapshot created at b5: value 8 for q1, 2 for q2
-    snap_vals = [(v.get("q1", (0,))[0], v.get("q2", (0,))[0]) for v in all_vals.values()]
+    snap_vals = _job().record_snapshots([Q1, q2], evs)
     assert (8, 2) in snap_vals
     # y (entry of B6) = x + sum(B3) + sum(prefix graphlets): q1=34, q2=15
     assert (34, 15) in snap_vals
@@ -107,11 +92,7 @@ def test_table5_event_snapshot_z():
 def test_paper_examples_job_prints_table4(capsys):
     """jobs/paper_examples.py prints the values of Tables 3-5 and Fig. 7 in
     its "ours" column, equal to the paper's."""
-    path = Path(__file__).resolve().parents[1] / "jobs" / "paper_examples.py"
-    spec = importlib.util.spec_from_file_location("paper_examples", path)
-    job = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(job)
-    job.main()
+    _job().main()
     rows = [[c.strip() for c in line.split("|")] for line in capsys.readouterr().out.splitlines()]
     ours = {(c[0], c[1]): c[3] for c in rows[1:]}
     assert ours["Table 3", "B3 run sum, q1"] == "2/6/14/30"

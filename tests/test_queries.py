@@ -116,3 +116,34 @@ def test_query_pickle_roundtrip():
     )
     q2 = pickle.loads(pickle.dumps(q))
     assert q2.qid == "q" and q2.edge_pred == q.edge_pred and q2.elems == q.elems
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("slide", -60.0),  # would never advance the window instances
+        ("slide", 0.0),
+        ("window", 0.0),
+        ("window", -60.0),
+        ("window", float("nan")),
+        ("slide", float("inf")),
+        ("window", float("-inf")),
+    ],
+)
+def test_query_rejects_bad_window_or_slide(field, value):
+    kw = {"window": 60.0, "slide": 60.0, field: value}
+    with pytest.raises(ValueError, match=f"qx: {field}"):
+        Query(qid="qx", elems=seq(Atom("A"), Kleene("B")), **kw)
+
+
+def test_query_slide_above_window_is_valid():
+    q = Query(qid="q", elems=seq(Atom("A"), Kleene("B")), window=10.0, slide=30.0)
+    assert (q.window, q.slide) == (10.0, 30.0)
+
+
+@pytest.mark.parametrize("op", ["=<", "=>", "=", "<>", ""])
+def test_predicates_reject_unknown_operators(op):
+    with pytest.raises(ValueError, match="unknown operator"):
+        Pred("v", op, 3)
+    with pytest.raises(ValueError, match="unknown operator"):
+        EdgePred("v", op)

@@ -3,6 +3,7 @@ live Hamlet engine state across batches, dynamic sharing per burst —
 output must equal the batch engine's."""
 import json
 import pickletools
+import random
 import time
 
 import pandas as pd
@@ -13,8 +14,8 @@ from pyspark.sql.streaming import DataStreamWriter, StreamingQueryListener
 from repro.core.brute import brute_results
 from repro.core.engine import run_system, window_executors
 from repro.core.events import Event, events_from_pandas
-from repro.core.queries import Atom, Kleene, Query, seq
-from repro.core.snapshots import ONE_ID
+from repro.core.hamlet import HamletPlan
+from repro.core.queries import COUNT_STAR, AggSpec, Atom, EdgePred, Kleene, Pred, Query, seq
 from repro.core.workloads import workload1
 from repro.sparkrt.batch import run_workload_spark
 from repro.sparkrt.streaming import (
@@ -291,27 +292,83 @@ def test_state_blob_holds_no_query_definitions(stream_pdf, system):
         for eng in engines:
             eng.on_event(Event(float(t), "T" if t > 1 else "R", {}))
     if system == "hamlet":
-        assert all(eng.shared for eng in engines)
+        assert all(eng.graphlet for eng in engines)
     names = _global_names(_dump_state({"engines": {0: engines}}, _static_objects(plans)))
     assert not names & {"repro.core.queries", "repro.core.template", "_Kernel"}
 
 
-def test_state_blob_holds_no_one_snapshot(stream_pdf):
-    """The constant ONE snapshot's columns belong to the executor plan: a
-    key's blob, read back while windows are open, has no snapshot-table
-    entry for it in any engine."""
-    wl = workload1(50, kleene_type="T", window=WINDOW, slide=WINDOW)
-    func = make_stateful_func(wl, "hamlet", WINDOW)
-    grp = stream_pdf[stream_pdf["gkey"] == stream_pdf["gkey"].iloc[0]]
-    state = _StubGroupState()
-    for _, pane in grp.groupby(grp["time"] // PANE):
-        list(_fresh_copy(func)((0,), iter([pane]), state))
-    static = _static_objects([plan for _, _, plan in window_executors(wl, "hamlet")])
-    st = _load_state(state.get[0], static)
-    engines = [eng for engs in st["engines"].values() for eng in engs]
-    assert engines
-    for eng in engines:
-        assert ONE_ID not in eng.S.vals
+def test_state_blob_holds_no_one_snapshot():
+    """The constant ONE snapshot's count column belongs to the executor
+    plan and never enters a state blob: written while a graphlet is open
+    in every engine, after the start term has entered its run, the blob is
+    the same when that column is tokened too, so no engine refers to it."""
+    wl = [
+        Query(qid="k", elems=seq(Kleene("T")), window=WINDOW, slide=PANE),
+        Query(qid="rk", elems=seq(Atom("R"), Kleene("T")), window=WINDOW, slide=PANE),
+    ]
+    plans = [plan for _, _, plan in window_executors(wl, "hamlet")]
+    assert [plan.one for plan in plans] == [(1, 0)]
+    engines = [plan.new_engine() for plan in plans]
+    for t in (1.0, *range(2, 10), *range(11, 19)):
+        for eng in engines:
+            eng.on_event(Event(float(t), "T" if t > 1 else "R", {}))
+    assert all(eng.graphlet and eng.graphlet.g for eng in engines)
+    st = {"engines": {0: engines}}
+    static = _static_objects(plans)
+    ones = {("one", i): plan.one for i, plan in enumerate(plans)}
+    assert _dump_state(st, {**static, **ones}) == _dump_state(st, static)
+
+
+def _bursty_events(seed: int, end: float) -> list:
+    """A seeded stream over ``[0, end)``: single A and C events between
+    bursts of 2-6 B events, each with an integer ``v`` in 0..9."""
+    rng = random.Random(seed)
+    evs, t = [], 0.0
+    while True:
+        types = ["B"] * rng.randint(2, 6) if rng.random() < 0.5 else [rng.choice("AC")]
+        for etype in types:
+            t += rng.uniform(0.2, 1.2)
+            if t >= end:
+                return evs
+            evs.append(Event(t, etype, {"v": float(rng.randint(0, 9))}))
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+def test_reload_mid_graphlet_changes_nothing(mode):
+    """Round-tripping an engine through the operator's state blob after
+    every event, and going on from the reloaded copy, changes no exact
+    count, result or counter. With 2-s panes of a 40-s window a pane
+    boundary flushes a burst and leaves its graphlet open between events,
+    so the shared modes reload mid-graphlet; a unary predicate and an edge
+    predicate on the Kleene type give that graphlet event snapshots."""
+    kw = dict(window=40.0, slide=2.0)
+    plan = HamletPlan(
+        [
+            Query(qid="a", elems=seq(Atom("A"), Kleene("B")),
+                  aggs=(COUNT_STAR, AggSpec("SUM", "B", "v"), AggSpec("MAX", "B", "v")), **kw),
+            Query(qid="b", elems=seq(Atom("A"), Kleene("B")), where={"B": (Pred("v", "<", 7),)},
+                  aggs=(COUNT_STAR, AggSpec("AVG", "B", "v")), **kw),
+            Query(qid="c", elems=seq(Atom("C"), Kleene("B")), edge_pred=EdgePred("v", "<="),
+                  aggs=(COUNT_STAR, AggSpec("COUNT_E", "B")), **kw),
+            Query(qid="d", elems=seq(Kleene("B")), **kw),
+        ],
+        mode=mode,
+    )
+    static = _static_objects([plan])
+    ref, eng = plan.new_engine(), plan.new_engine()
+    snapshot_reloads = 0
+    for e in _bursty_events(seed=5, end=40.0):
+        ref.on_event(e)
+        eng.on_event(e)
+        snapshot_reloads += eng.graphlet is not None and len(eng.graphlet.snaps) > 1
+        eng = _load_state(_dump_state({"engine": eng}, static), static)["engine"]
+    assert eng.plan is plan
+    ref.end_window()
+    eng.end_window()
+    assert eng.exact_counts() == ref.exact_counts()
+    assert repr(eng.results()) == repr(ref.results())
+    assert eng.m == ref.m
+    assert (snapshot_reloads > 0) == (mode != "nonshared"), snapshot_reloads
 
 
 @pytest.mark.parametrize("system", ["greta", "hamlet"])
