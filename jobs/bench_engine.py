@@ -2,6 +2,7 @@
 """In-process engine benchmark: Hamlet's wall time and counters on fixed inputs.
 
     python3 jobs/bench_engine.py [--repeat N] [--label NAME] [--out FILE] [--opcodes]
+    python3 jobs/bench_engine.py --check LABEL [--out FILE]
 
 Runs ``run_system`` over every group of two fixed inputs, for the three
 Hamlet systems, ``--repeat`` times, and records per (input, system) the
@@ -27,6 +28,12 @@ alternating invocations make one best-of-N across all of them; its
 counters must come out the same every time. To compare two checkouts on
 one machine, alternate this script between them, with ``PYTHONPATH`` at
 that checkout's ``src``, one label per checkout and the same ``--out``.
+
+``--check LABEL`` runs every (input, system) once and compares each
+counter of ``COUNTERS`` exactly with ``LABEL``'s in ``FILE``. It prints
+every difference, exits 1 if there is one and 0 otherwise, and writes
+nothing: a change that must leave the engine's work as it was checks
+against its parent's label.
 """
 from __future__ import annotations
 
@@ -101,6 +108,21 @@ def bench(repeat: int, opcodes: bool = False) -> dict:
     return out
 
 
+def differences(want: dict, got: dict) -> list[str]:
+    """Each counter of ``COUNTERS`` in which the ``bench`` results ``got``
+    differ from ``want``, as ``"input system counter: want -> got"``; a
+    counter that ``want`` lacks differs."""
+    out = []
+    for name in CONFIGS:
+        for system in SYSTEMS:
+            for c in COUNTERS:
+                a = want.get(name, {}).get(system, {}).get(c)
+                b = got[name][system][c]
+                if a != b:
+                    out.append(f"{name} {system} {c}: {a} -> {b}")
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--repeat", type=int, default=20, help="passes per (input, system)")
@@ -109,11 +131,21 @@ def main(argv=None) -> int:
     p.add_argument(
         "--opcodes", action="store_true", help="also count the opcodes of one group-0 run"
     )
+    p.add_argument(
+        "--check", metavar="LABEL",
+        help="run once and compare every counter with LABEL's; exit 1 on a difference, write nothing",
+    )
     args = p.parse_args(argv)
     doc = {"runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as f:
             doc = json.load(f)
+    if args.check is not None:
+        if args.check not in doc["runs"]:
+            raise SystemExit(f"{args.check}: no such label in {args.out}")
+        diffs = differences(doc["runs"][args.check]["results"], bench(1))
+        print("\n".join(diffs) if diffs else f"every counter equals {args.check}'s")
+        return 1 if diffs else 0
     run = {
         "repeat": args.repeat,
         "python": platform.python_version(),

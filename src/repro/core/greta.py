@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .events import Event
 from .queries import Query
@@ -62,31 +62,41 @@ def zero(m: int) -> list:
     return [0] + [0.0] * m
 
 
-def aggregates(
-    q: Query,
-    channels: Sequence[Channel],
-    vals: Sequence,
-    extremes: Mapping[str, float],
-) -> dict[str, float]:
-    """Eq. 3: the final aggregates of ``q`` from ``vals``, the value vector
-    summed over its end events: the trend count, then the sum of each
-    channel in ``channels``. ``extremes`` holds each MIN/MAX aggregate's
-    value by name (NaN when no event takes part in a trend)."""
-    val = dict(zip(channels, vals[CNT + 1:]))
-    out: dict[str, float] = {}
+def reader(q: Query, channels: Sequence[Channel]) -> tuple:
+    """What :func:`aggregates` reads for each aggregate of ``q``, resolved
+    once per query: ``(name, index, divisor index)`` over a value vector
+    laid out as ``[count, *channels, *extremes]``, the extremes being
+    ``q``'s MIN/MAX values in the order of its aggregates. The divisor is
+    AVG's COUNT(E) channel, and ``None`` for the other five functions."""
+    at = {c: i for i, c in enumerate(channels, CNT + 1)}
+    extreme = CNT + 1 + len(channels)
+    out = []
     for a in q.aggs:
-        if a.fn == "COUNT_STAR":
-            out[a.name] = float(vals[CNT])
+        if a.fn in ("MIN", "MAX"):
+            out.append((a.name, extreme, None))
+            extreme += 1
+        elif a.fn == "COUNT_STAR":
+            out.append((a.name, CNT, None))
         elif a.fn == "COUNT_E":
-            out[a.name] = float(val[Channel(a.etype, None)])
-        elif a.fn == "SUM":
-            out[a.name] = float(val[Channel(a.etype, a.attr)])
-        elif a.fn == "AVG":
-            n_e = val[Channel(a.etype, None)]
-            s = val[Channel(a.etype, a.attr)]
-            out[a.name] = float(s / n_e) if n_e else math.nan
+            out.append((a.name, at[Channel(a.etype, None)], None))
+        else:  # SUM, AVG = SUM / COUNT(E)
+            n_e = at[Channel(a.etype, None)] if a.fn == "AVG" else None
+            out.append((a.name, at[Channel(a.etype, a.attr)], n_e))
+    return tuple(out)
+
+
+def aggregates(read: Sequence[tuple], vals: Sequence) -> dict[str, float]:
+    """Eq. 3: a query's final aggregates, read by ``read``, its
+    :func:`reader`, from ``vals``: the value vector summed over its end
+    events (the trend count, then each channel's sum), then its MIN/MAX
+    values (NaN when no event takes part in a trend). An AVG over no event
+    is NaN."""
+    out: dict[str, float] = {}
+    for name, i, n_e in read:
+        if n_e is None:
+            out[name] = float(vals[i])
         else:
-            out[a.name] = float(extremes[a.name])
+            out[name] = float(vals[i] / vals[n_e]) if vals[n_e] else math.nan
     return out
 
 
@@ -175,11 +185,11 @@ class GretaState:
         """Final aggregates for this window instance (Eq. 3 + channels)."""
         mm = [a for a in self.q.aggs if a.fn in ("MIN", "MAX")]
         parts = self._participants() if mm else []
-        extremes = {}
+        extremes = []
         for a in mm:
             vals = [r.event.attrs.get(a.attr, 0.0) for r in parts if r.event.etype == a.etype]
-            extremes[a.name] = (min if a.fn == "MIN" else max)(vals, default=math.nan)
-        return aggregates(self.q, self.channels, self.res, extremes)
+            extremes.append((min if a.fn == "MIN" else max)(vals, default=math.nan))
+        return aggregates(reader(self.q, self.channels), [*self.res, *extremes])
 
     def exact_count(self) -> int:
         """COUNT(*) as an exact integer (may exceed float precision)."""

@@ -14,10 +14,12 @@ choose different sharer sets: the active graphlet is resolved
 paper's consolidation snapshot ``z``. The open graphlet, its snapshots
 and its vectors are one ``snapshots.Graphlet``, dropped when it closes.
 
-The set's static analysis (templates, channels, per-type tables) is a
-:class:`HamletPlan`, built once from the queries alone; each window
-instance's engine shares it and allocates only runtime state (totals,
-snapshots, the open graphlet, results). The plan derives the shared
+The set's static analysis (templates, channels, per-type tables, result
+readers) is a :class:`HamletPlan`, built once from the queries alone, and
+once per workload (``engine.window_executors`` hands the same plans to
+every run of the same queries); each window instance's engine shares it
+and allocates only runtime state (totals, snapshots, the open graphlet,
+results). The plan derives the shared
 Kleene type ``E`` (the smallest one all its queries have) and the pane
 (the gcd of their windows and slides). A set of one query, or of queries
 without a common Kleene type, is a plan too: with ``E = None`` no burst
@@ -39,6 +41,15 @@ resolves each coefficient vector for all of them at once
 (``Graphlet.resolve``). Only an edge-predicate query reads its
 Kleene predecessors per query, from its stored records.
 
+A pass that writes a whole column is one C-level pass where Python
+allows it: a full-width add is ``map(operator.add, ...)``, a predecessor
+sum starts from a copy of the totals of its first transition when that
+transition is at every position (``_lead_first``), and a resolved vector
+starts from its first term. A pass over some positions stays a loop over
+them (they are in general no slice of the column). The results
+read each position's value vector through the plan's readers
+(``greta.reader``), resolved once per plan.
+
 A burst event's unary predicates on the Kleene type are evaluated once,
 as the positions that fail them: the optimizer's match vectors and the
 cuts of the plan's cached tables read them, and the open graphlet holds
@@ -48,9 +59,11 @@ Inside a shared graphlet a burst is cut at its divergent events: those a
 sharer fails, and every event when a sharer has an edge predicate. Each
 divergent event takes an event snapshot. Each maximal run of the others,
 ``b`` uniform events, is one closed-form update of the graphlet's run
-(``Graphlet.add_run``), with counts kept exact ints. ``coeff_ops`` counts the
-coefficient terms such an update writes, so it does not grow with ``b``.
-The closed form encodes today's tie rule:
+(``Graphlet.add_run``), with counts kept exact ints. A burst that no
+sharer can diverge on (no unary predicate on ``E``, no edge-predicate
+sharer) is one such run, without a pass over its events. ``coeff_ops``
+counts the coefficient terms such an update writes, so it does not grow
+with ``b``. The closed form encodes today's tie rule:
 every event of the run counts as later than the ones before it, equal
 times included (ROADMAP item 5a; with the tie fix, ``m`` same-time events
 multiply ``R`` by ``1 + m``, not ``2^m``).
@@ -63,10 +76,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .events import Event
-from .greta import CNT, Channel, aggregates, channels_for, zero
+from .greta import CNT, Channel, aggregates, channels_for, reader, zero
 from .optimizer import BurstStats, choose_plan
 from .queries import Query
 from .snapshots import Graphlet
@@ -92,13 +106,12 @@ class Metrics:
 
     def absorb(self, other: "Metrics") -> None:
         """Add ``other``'s counters into these; the memory peak is a max."""
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            setattr(
-                self,
-                f.name,
-                max(mine, theirs) if f.name == "peak_mem_bytes" else mine + theirs,
-            )
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.peak_mem_bytes = max(self.peak_mem_bytes, other.peak_mem_bytes)
+
+
+_SUMMED = tuple(f.name for f in fields(Metrics) if f.name != "peak_mem_bytes")
 
 
 _MAX_VIEWS = 32  # restricted copies kept per kernel table set
@@ -153,6 +166,21 @@ class _Kernel(NamedTuple):
         )
 
 
+def _lead_first(edges: tuple, k: int) -> tuple:
+    """``edges`` with the first full-width edge without a blocker moved to
+    the front, so that ``_preds`` starts from a copy of its totals, where
+    that leaves every position's sum unchanged: each takes at most one
+    edge before it, and ``0 + a + b == b + a``. Otherwise ``edges``."""
+    seen: set = set()
+    for j, (_, blocker, at) in enumerate(edges):
+        if blocker is None and len(at) == k:
+            return (edges[j], *edges[:j], *edges[j + 1:])
+        if not seen.isdisjoint(at):
+            break
+        seen.update(at)
+    return edges
+
+
 class HamletPlan:
     """The static part of one sharable set's execution: the workload
     analysis of §3.1 plus the lookup tables every window instance reads.
@@ -160,8 +188,9 @@ class HamletPlan:
     It holds the queries, their templates, the set's aggregate channels,
     each query's position in the runtime columns, the ONE snapshot's
     count column, the Eq. 2 kernel tables of every event type, the entry
-    snapshot's predecessor edges and the optimizer's constant inputs. A
-    plan is built once per executor entry and never changed afterwards
+    snapshot's predecessor edges, each query's result reader and the
+    optimizer's constant inputs. A plan is built once per executor entry
+    of a workload and never changed afterwards
     (apart from the kernel tables' caches of restricted copies), so all
     the :class:`HamletSetEngine` instances of an entry share one plan and
     each holds only its own window's runtime state."""
@@ -174,6 +203,8 @@ class HamletPlan:
         self.pos = {q.qid: i for i, q in enumerate(self.qs)}
         self.k = len(self.qs)
         self.qids = tuple(sorted(self.pos))
+        # every query sharing: the Thm 4.1 and static plans' sharer set
+        self.all_qids = frozenset(self.qids)
         self.mode = mode
         self.tpls: dict[str, Template] = {q.qid: build_template(q) for q in self.qs}
         # the smallest Kleene type every query has; without one no burst opens
@@ -190,6 +221,16 @@ class HamletPlan:
         self.channels = tuple(chans)
         self.nch = len(chans)
         self.zero = tuple(zero(self.nch))
+        # per position: the query's result reader (``greta.reader``) and its
+        # MIN/MAX values' slots in an engine's ``mm``, in the reader's order
+        self.readers = tuple(
+            (
+                q.qid,
+                reader(q, self.channels),
+                tuple(((q.qid, a.name), int(a.fn == "MAX")) for a in q.aggs if a.fn in ("MIN", "MAX")),
+            )
+            for q in self.qs
+        )
         # the ONE snapshot's count column (its channels are zero): the start
         # term of a Kleene event. It is the plan's, shared by every engine
         # and never in its runtime state
@@ -244,7 +285,10 @@ class HamletPlan:
         return _Kernel(
             tuple(i for i, _, _ in pos),
             # sorted as ``build_template`` sorts ``pt``: each position sums in its own order
-            tuple((pt, b, tuple(edges[pt, b])) for pt, b in sorted(edges, key=lambda e: (e[0], e[1] or ""))),
+            _lead_first(
+                tuple((pt, b, tuple(edges[pt, b])) for pt, b in sorted(edges, key=lambda e: (e[0], e[1] or ""))),
+                self.k,
+            ),
             recs,
             tuple(i for i, _, tpl in pos if t in tpl.start),
             tuple(i for i, _, tpl in pos if t in tpl.end),
@@ -325,16 +369,23 @@ class HamletSetEngine:
     def _preds(self, edges: Sequence) -> list[list]:
         """Eq. 2's predecessor sums at the edges' positions (zero
         elsewhere): one pass per transition over the positions that share
-        it, each type's totals less their negation cut."""
-        cols = self.plan.zero_columns()
+        it, each type's totals less their negation cut. A first edge at
+        every position is the sums' start (``_lead_first``)."""
+        k = self.plan.k
+        cols = None
         for ptype, blocker, at in edges:
             self.m.ops += len(at)
             tot = self.totals[ptype]
             cut = None if blocker is None else self.cuts.get((ptype, blocker))
             if cut is not None:
                 tot = [[a - b for a, b in zip(col, cc)] for col, cc in zip(tot, cut)]
+            if cols is None:
+                if len(at) == k:
+                    cols = tot if cut is not None else [col.copy() for col in tot]
+                    continue
+                cols = self.plan.zero_columns()
             _add_at(cols, tot, at)
-        return cols
+        return self.plan.zero_columns() if cols is None else cols
 
     def _eq2(self, e: Event, ker: _Kernel) -> list[list]:
         """Eq. 2: the ``[count, channel...]`` columns of matched event ``e``
@@ -454,6 +505,7 @@ class HamletSetEngine:
             match_vectors={q.qid: tuple(i not in f for f in fails) for i, q in checks}
             if p.mode == "dynamic" else {},
             edge_pred_qids=p.edge_pred_qids,
+            all_qids=p.all_qids,
         )
         gr = self.graphlet
         decision = choose_plan(
@@ -484,17 +536,22 @@ class HamletSetEngine:
             rest = rest.without(p.e_open.without(out).idx) if out else None
             # an event that a sharer fails, or any event when a sharer has
             # an edge predicate, diverges and takes an event snapshot; each
-            # maximal run of the others is one closed-form update
-            uniform: list[Event] = []
-            for ev, failed in zip(burst, fails):
-                failed = failed - out
-                if failed or recd.idx:
-                    self._uniform_run(uniform)
-                    uniform = []
-                    self._event_snapshot(ev, plain, recd, failed)
-                else:
-                    uniform.append(ev)
-            self._uniform_run(uniform)
+            # maximal run of the others is one closed-form update, and
+            # with neither (no unary predicate on E, no edge-predicate
+            # sharer) the whole burst is one
+            if not checks and not recd.idx:
+                self._uniform_run(burst)
+            else:
+                uniform: list[Event] = []
+                for ev, failed in zip(burst, fails):
+                    failed = failed - out
+                    if failed or recd.idx:
+                        self._uniform_run(uniform)
+                        uniform = []
+                        self._event_snapshot(ev, plain, recd, failed)
+                    else:
+                        uniform.append(ev)
+                self._uniform_run(uniform)
         if rest is not None:
             # the non-sharers, each on its own totals (Eq. 2)
             for ev, failed in zip(burst, fails):
@@ -604,17 +661,14 @@ class HamletSetEngine:
 
     def results(self) -> dict[str, dict[str, float]]:
         """Final aggregates per member query for this window instance."""
+        mm = self.mm
         out: dict[str, dict[str, float]] = {}
-        for i, q in enumerate(self.plan.qs):
-            qid = q.qid
-            extremes = {}
-            for a in q.aggs:
-                if a.fn in ("MIN", "MAX"):
-                    lo, hi = self.mm[qid, a.name]
-                    v = lo if a.fn == "MIN" else hi
-                    extremes[a.name] = v if math.isfinite(v) else math.nan
-            vals = [col[i] for col in self.res]
-            out[qid] = aggregates(q, self.plan.channels, vals, extremes)
+        # one value vector per position, read by the plan's readers
+        for (qid, rd, slots), vals in zip(self.plan.readers, zip(*self.res)):
+            if slots:
+                extremes = (mm[key][hi] for key, hi in slots)
+                vals = (*vals, *(v if math.isfinite(v) else math.nan for v in extremes))
+            out[qid] = aggregates(rd, vals)
         return out
 
     def exact_counts(self) -> dict[str, int]:
@@ -626,10 +680,11 @@ def _add_at(dst: list[list], src: Sequence[Sequence], idx) -> None:
     position ``i`` in ``idx``."""
     if not idx:
         return
-    for d, s in zip(dst, src):
-        if len(idx) == len(d):
-            d[:] = [a + b for a, b in zip(d, s)]
-        else:
+    if len(idx) == len(dst[CNT]):
+        for d, s in zip(dst, src):
+            d[:] = map(add, d, s)
+    else:
+        for d, s in zip(dst, src):
             for i in idx:
                 d[i] += s[i]
 

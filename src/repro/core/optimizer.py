@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,18 @@ class BurstStats:
     query absent from ``match_vectors`` matches every event of the burst:
     Hamlet builds vectors only for the queries with a unary predicate on
     the Kleene type, from the same per-event predicate failures its burst
-    execution reads."""
+    execution reads. ``all_qids`` is ``frozenset(qids)``, the sharer set
+    when every query shares; Hamlet passes its plan's, built once."""
 
     b: int
     qids: tuple  # every member query, sorted
     match_vectors: Mapping[str, tuple]  # qid -> tuple[bool, ...] length b
     edge_pred_qids: frozenset
+    all_qids: Optional[frozenset] = None
+
+    def __post_init__(self):
+        if self.all_qids is None:
+            self.all_qids = frozenset(self.qids)
 
 
 @dataclass
@@ -114,7 +120,7 @@ def choose_plan(
     qids = stats.qids
     k_all = len(qids)
     if mode == "static":
-        return SharingPlan(shared=frozenset(qids) if k_all > 1 else frozenset())
+        return SharingPlan(shared=stats.all_qids if k_all > 1 else frozenset())
     if mode == "nonshared" or k_all < 2 or stats.b == 0:
         return SharingPlan(shared=frozenset())
     assert mode == "dynamic", mode
@@ -136,8 +142,9 @@ def choose_plan(
         s_c = max((div[qid] for qid in shared), default=0)
     else:
         # Thm 4.1 fast path: every query matches every event, so none
-        # introduces a snapshot and all of them are candidates
-        shared, others, s_c = qids, (), 0
+        # introduces a snapshot and all of them are candidates; the
+        # frozenset below returns this set itself
+        shared, others, s_c = stats.all_qids, (), 0
     plans = 1 + len(others)
     if len(shared) < 2:
         return SharingPlan(

@@ -120,13 +120,16 @@ class Graphlet:
     def resolve(self, vec: Vec, one: Sequence) -> list:
         """Evaluate a coefficient vector for every query position at once:
         entry ``i`` is Σ coeff · S[x][c][i] over the vector's ``(x, c)``
-        keys, summed in the vector's order. ``one`` is the ONE snapshot's
-        count column."""
-        total = [0] * len(one)
+        keys, summed in the vector's order from its first term (zero for an
+        empty vector). ``one`` is the ONE snapshot's count column."""
+        total = None
         for (sid, c), coeff in vec.items():
             col = one if sid == ONE_ID else self.snaps[sid][c]
-            total = [t + coeff * v for t, v in zip(total, col)]
-        return total
+            if total is None:
+                total = [coeff * v for v in col]
+            else:
+                total = [t + coeff * v for t, v in zip(total, col)]
+        return [0] * len(one) if total is None else total
 
     def live(self) -> int:
         """The snapshots the run references (the optimizer's ``s_p``): its

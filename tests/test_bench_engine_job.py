@@ -1,7 +1,11 @@
-"""jobs/bench_engine.py: the opcode count is a deterministic measure."""
+"""jobs/bench_engine.py: the opcode count is a deterministic measure, and
+``--check`` compares every counter with a label's."""
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.core.engine import run_system
 from repro.core.workloads import workload1
@@ -27,3 +31,62 @@ def test_opcode_count_repeats():
     counts = [job.count_opcodes(lambda: run_system(events, wl, "hamlet")) for _ in range(2)]
     assert counts[0] == counts[1] > 0
     assert sys.gettrace() is before
+
+
+def _results(ops=100):
+    """Fabricated ``bench`` results: every (input, system) with counters."""
+    job = _job()
+    counters = dict(ops=ops, coeff_ops=7, snapshots_created=3, peak_mem_bytes=640)
+    return {
+        name: {"events": 10, **{s: {"best_ms": 1.0, **counters} for s in job.SYSTEMS}}
+        for name in job.CONFIGS
+    }
+
+
+def _check(tmp_path, monkeypatch, got):
+    """Run ``--check parent`` against a file holding ``_results()`` under
+    the label, with ``bench`` returning ``got``; returns the exit code,
+    the file's bytes before and after, and the passes asked for."""
+    job = _job()
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"runs": {"parent": {"repeat": 3, "results": _results()}}}))
+    before = out.read_bytes()
+    asked = []
+
+    def bench(repeat, opcodes=False):
+        asked.append((repeat, opcodes))
+        return got
+
+    monkeypatch.setattr(job, "bench", bench)
+    code = job.main(["--check", "parent", "--out", str(out)])
+    return code, before, out.read_bytes(), asked
+
+
+def test_check_equal_counters_exits_0_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    got = _results()
+    for per_sys in got.values():
+        for system in _job().SYSTEMS:
+            per_sys[system]["best_ms"] = 99.0  # times may differ
+    code, before, after, asked = _check(tmp_path, monkeypatch, got)
+    assert code == 0 and after == before and asked == [(1, False)]
+    assert "every counter equals parent's" in capsys.readouterr().out
+
+
+def test_check_differing_counter_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    got = _results()
+    got["stock-diverse"]["hamlet-static"]["snapshots_created"] = 4
+    code, before, after, _ = _check(tmp_path, monkeypatch, got)
+    assert code == 1 and after == before
+    assert capsys.readouterr().out.splitlines() == [
+        "stock-diverse hamlet-static snapshots_created: 3 -> 4"
+    ]
+
+
+def test_check_unknown_label_fails(tmp_path, monkeypatch):
+    job = _job()
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"runs": {}}))
+    monkeypatch.setattr(job, "bench", lambda repeat, opcodes=False: _results())
+    with pytest.raises(SystemExit, match="nope"):
+        job.main(["--check", "nope", "--out", str(out)])
+    assert out.read_text() == json.dumps({"runs": {}})
