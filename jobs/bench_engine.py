@@ -2,6 +2,7 @@
 """In-process engine benchmark: Hamlet's wall time and counters on fixed inputs.
 
     python3 jobs/bench_engine.py [--repeat N] [--label NAME] [--out FILE] [--opcodes]
+    python3 jobs/bench_engine.py --ab CHECKOUT [--repeat N] [--label NAME] [--out FILE] [--opcodes]
     python3 jobs/bench_engine.py --check LABEL [--out FILE]
 
 Runs ``run_system`` over every group of two fixed inputs, for the three
@@ -25,9 +26,17 @@ The results go into ``FILE`` (default ``BENCH_engine.json``) under
 ``--label``, next to the labels already there. A label that is already
 there keeps the better time of its runs and adds up their passes, so
 alternating invocations make one best-of-N across all of them; its
-counters must come out the same every time. To compare two checkouts on
-one machine, alternate this script between them, with ``PYTHONPATH`` at
-that checkout's ``src``, one label per checkout and the same ``--out``.
+counters must come out the same every time.
+
+``--ab CHECKOUT`` compares this checkout with another one on the same
+machine: it loads ``CHECKOUT/src/repro`` under another package name
+(``src/`` imports only relatively) and, for each (input, system),
+alternates a pass of that checkout with a pass of this one, swapping
+which goes first from round to round, so that both labels' bests come
+from the same stretch of the host's time. Each side builds its inputs
+with its own modules. Both labels are written: ``--label`` for this
+checkout, and ``"<short commit> (parent)"`` for ``CHECKOUT`` (its path
+when it is no git work tree).
 
 ``--check LABEL`` runs every (input, system) once and compares each
 counter of ``COUNTERS`` exactly with ``LABEL``'s in ``FILE``. It prints
@@ -38,9 +47,12 @@ against its parent's label.
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 
@@ -78,34 +90,91 @@ def count_opcodes(fn) -> int:
 def bench(repeat: int, opcodes: bool = False) -> dict:
     """``{config: {system: {"best_ms", counters...}}}`` over ``repeat``
     passes, with each ``opcodes`` count when asked."""
-    from repro.core.engine import RunResult, run_system
-    from repro.streams import group_events
+    return interleaved(repeat, opcodes, ("repro",))[0]
 
-    inputs = _inputs()
-    out: dict[str, dict] = {}
+
+def interleaved(repeat: int, opcodes: bool, pkgs: tuple) -> list[dict]:
+    """``bench``'s results for each package of ``pkgs`` (checkouts of
+    ``src/repro``), their passes over each (input, system) interleaved:
+    one pass of each per round, the order reversed every other round."""
+    sides = []
+    for pkg in pkgs:
+        engine = importlib.import_module(f"{pkg}.core.engine")
+        group_events = importlib.import_module(f"{pkg}.streams").group_events
+        sides.append((engine, group_events, _inputs(pkg)))
+    outs: list[dict] = [{} for _ in pkgs]
     for name in CONFIGS:
-        make_stream, make_workload, _ = inputs[name]
-        groups = group_events(make_stream())
-        workload = make_workload()
-        out[name] = {"events": sum(len(evs) for evs in groups.values())}
+        runs = []
+        for out, (engine, group_events, inputs) in zip(outs, sides):
+            make_stream, make_workload, _ = inputs[name]
+            groups = group_events(make_stream())
+            out[name] = {"events": sum(len(evs) for evs in groups.values())}
+            runs.append((engine, groups, make_workload()))
         for system in SYSTEMS:
-            best = float("inf")
-            for _ in range(repeat):
-                total = RunResult(system=system)
-                t0 = time.perf_counter()
-                for evs in groups.values():
-                    total.merge(run_system(evs, workload, system))
-                best = min(best, time.perf_counter() - t0)
-            out[name][system] = {
-                "best_ms": round(best * 1e3, 2),
-                **{c: getattr(total.metrics, c) for c in COUNTERS},
-            }
-            if opcodes:
-                first = next(iter(groups.values()))
-                out[name][system]["opcodes"] = count_opcodes(
-                    lambda: run_system(first, workload, system)
-                )
-    return out
+            best = [float("inf")] * len(runs)
+            totals = [None] * len(runs)
+            for r in range(repeat):
+                for j in (range(len(runs)) if r % 2 == 0 else reversed(range(len(runs)))):
+                    engine, groups, workload = runs[j]
+                    total = engine.RunResult(system=system)
+                    t0 = time.perf_counter()
+                    for evs in groups.values():
+                        total.merge(engine.run_system(evs, workload, system))
+                    best[j] = min(best[j], time.perf_counter() - t0)
+                    totals[j] = total
+            for out, (engine, groups, workload), b, total in zip(outs, runs, best, totals):
+                out[name][system] = {
+                    "best_ms": round(b * 1e3, 2),
+                    **{c: getattr(total.metrics, c) for c in COUNTERS},
+                }
+                if opcodes:
+                    first = next(iter(groups.values()))
+                    out[name][system]["opcodes"] = count_opcodes(
+                        lambda: engine.run_system(first, workload, system)
+                    )
+    return outs
+
+
+def load_checkout(path: str, pkg: str = "repro_ab") -> str:
+    """Import ``path/src/repro`` as package ``pkg``; returns ``pkg``."""
+    root = os.path.join(path, "src", "repro")
+    spec = importlib.util.spec_from_file_location(
+        pkg, os.path.join(root, "__init__.py"), submodule_search_locations=[root]
+    )
+    sys.modules[pkg] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[pkg])
+    return pkg
+
+
+def checkout_label(path: str) -> str:
+    """``"<short commit> (parent)"`` for a git work tree, else the path."""
+    try:
+        sha = subprocess.run(
+            ["git", "-C", path, "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return os.path.abspath(path)
+    return f"{sha} (parent)"
+
+
+def record(doc: dict, label: str, run: dict) -> None:
+    """Put ``run`` into ``doc`` under ``label``. A label already there keeps
+    the better time of each (input, system) and adds up the passes; its
+    counters must be the same."""
+    prev = doc["runs"].get(label)
+    if prev is not None:
+        run["repeat"] += prev["repeat"]
+        for name, per_sys in run["results"].items():
+            for system in SYSTEMS:
+                new, old = per_sys[system], prev["results"][name][system]
+                same = COUNTERS + (("opcodes",) if "opcodes" in new and "opcodes" in old else ())
+                if any(new[c] != old[c] for c in same):
+                    raise SystemExit(f"{label}: {name} {system} counters differ from the file's")
+                new["best_ms"] = min(new["best_ms"], old["best_ms"])
+                if "opcodes" in old:
+                    new["opcodes"] = old["opcodes"]
+    doc["runs"][label] = run
 
 
 def differences(want: dict, got: dict) -> list[str]:
@@ -132,6 +201,10 @@ def main(argv=None) -> int:
         "--opcodes", action="store_true", help="also count the opcodes of one group-0 run"
     )
     p.add_argument(
+        "--ab", metavar="CHECKOUT",
+        help="also run CHECKOUT's src/repro, its passes interleaved with this checkout's",
+    )
+    p.add_argument(
         "--check", metavar="LABEL",
         help="run once and compare every counter with LABEL's; exit 1 on a difference, write nothing",
     )
@@ -146,35 +219,34 @@ def main(argv=None) -> int:
         diffs = differences(doc["runs"][args.check]["results"], bench(1))
         print("\n".join(diffs) if diffs else f"every counter equals {args.check}'s")
         return 1 if diffs else 0
-    run = {
-        "repeat": args.repeat,
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-        "results": bench(args.repeat, args.opcodes),
-    }
-    prev = doc["runs"].get(args.label)
-    if prev is not None:
-        run["repeat"] += prev["repeat"]
-        for name, per_sys in run["results"].items():
-            for system in SYSTEMS:
-                new, old = per_sys[system], prev["results"][name][system]
-                same = COUNTERS + (("opcodes",) if "opcodes" in new and "opcodes" in old else ())
-                if any(new[c] != old[c] for c in same):
-                    raise SystemExit(f"{args.label}: {name} {system} counters differ from the file's")
-                new["best_ms"] = min(new["best_ms"], old["best_ms"])
-                if "opcodes" in old:
-                    new["opcodes"] = old["opcodes"]
-    doc["runs"][args.label] = run
+    if args.ab is None:
+        labels = [args.label]
+        results = [bench(args.repeat, args.opcodes)]
+    else:
+        labels = [args.label, checkout_label(args.ab)]
+        if labels[1] == labels[0]:
+            raise SystemExit(f"--label {args.label!r} is the other checkout's label too")
+        results = interleaved(args.repeat, args.opcodes, ("repro", load_checkout(args.ab)))
+    for label, res in zip(labels, results):
+        run = {
+            "repeat": args.repeat,
+            "python": platform.python_version(),
+            "nproc": os.cpu_count(),
+            "results": res,
+        }
+        record(doc, label, run)
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
-    for name, per_sys in doc["runs"][args.label]["results"].items():
-        for system in SYSTEMS:
-            r = per_sys[system]
-            print(
-                f"{name:14s} {system:17s} {r['best_ms']:9.2f} ms  "
-                + "  ".join(f"{c}={r[c]}" for c in COUNTERS + ("opcodes",) if c in r)
-            )
+    for label in labels:
+        print(f"{label}:")
+        for name, per_sys in doc["runs"][label]["results"].items():
+            for system in SYSTEMS:
+                r = per_sys[system]
+                print(
+                    f"{name:14s} {system:17s} {r['best_ms']:9.2f} ms  "
+                    + "  ".join(f"{c}={r[c]}" for c in COUNTERS + ("opcodes",) if c in r)
+                )
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import sys
@@ -33,15 +34,15 @@ HAMLET_GRETA = ("greta", "hamlet", "hamlet-static", "hamlet-nonshared")
 ALL_SYSTEMS = HAMLET_GRETA + ("sharon", "mcep")
 
 
-def _inputs() -> dict:
-    """name -> (stream frame factory, workload factory, systems)."""
-    from repro.core.workloads import workload1, workload2
-    from repro.streams import (
-        nyc_taxi_stream,
-        ridesharing_stream,
-        smart_home_stream,
-        stock_stream,
-    )
+def _inputs(pkg: str = "repro") -> dict:
+    """name -> (stream frame factory, workload factory, systems), the
+    factories from package ``pkg`` (another checkout's ``src/repro`` may
+    be loaded under another name)."""
+    workloads = importlib.import_module(f"{pkg}.core.workloads")
+    streams = importlib.import_module(f"{pkg}.streams")
+    workload1, workload2 = workloads.workload1, workloads.workload2
+    nyc_taxi_stream, ridesharing_stream = streams.nyc_taxi_stream, streams.ridesharing_stream
+    smart_home_stream, stock_stream = streams.smart_home_stream, streams.stock_stream
 
     rpdc = ("R", "P", "D", "C")
     return {

@@ -117,8 +117,10 @@ class GretaState:
         self.q = q
         self.tpl = tpl or build_template(q)
         self.channels = channels_for(q)
-        self.recs: dict[str, list[_Rec]] = {t: [] for t in self.tpl.types}
-        self.blocker_times: dict[str, list[float]] = {n: [] for n in self.tpl.neg_types}
+        # in sorted type order, so that a pickled state does not depend on
+        # the string hash seed
+        self.recs: dict[str, list[_Rec]] = {t: [] for t in sorted(self.tpl.types)}
+        self.blocker_times: dict[str, list[float]] = {n: [] for n in sorted(self.tpl.neg_types)}
         # the Eq. 3 sum over end events; under a trailing negation it is
         # pending, and a later matched negative event voids it
         self.res = zero(len(self.channels))
@@ -138,7 +140,8 @@ class GretaState:
         if e.etype not in tpl.types or not self.q.matches(e):
             return
         vals = [1 if e.etype in tpl.start else 0] + [0.0] * len(self.channels)
-        ptypes = {edge.ptype for edge in tpl.pt.get(e.etype, ())}
+        # in the template's (sorted) edge order, not a set's hash order
+        ptypes = dict.fromkeys(edge.ptype for edge in tpl.pt.get(e.etype, ()))
         for ptype in ptypes:
             for rec in self.recs.get(ptype, ()):  # THE O(n) loop (Eq. 4)
                 self.ops += 1

@@ -4,7 +4,9 @@ One :class:`HamletSetEngine` runs a *sharable set* of queries (same
 Kleene type, window, group-by, compatible aggregates — Definition 5)
 over one (group, window instance). Events of the shared Kleene type are
 buffered into *bursts* (Definition 10); per complete burst the dynamic
-optimizer picks the sharing plan (``optimizer.choose_plan``); shared
+optimizer picks the sharing plan (``optimizer.choose_plan``), unless the
+plan holds a decision no burst can change (``optimizer.fixed_plan``,
+taken once per plan: always under ``static`` and ``nonshared``); shared
 bursts extend a *shared graphlet* whose per-event intermediate
 aggregates are coefficient vectors over snapshots, while
 non-shared members propagate on their own totals (Eq. 2). Graphlet
@@ -26,12 +28,14 @@ without a common Kleene type, is a plan too: with ``E = None`` no burst
 opens, and every event runs the non-shared Eq. 2 kernel.
 
 The runtime state is columnar. Every per-query quantity (per-type totals,
-negation cuts, Eq. 3 results, snapshot values) holds one *column* per
+negation cuts, pending Eq. 3 results, snapshot values) holds one *column* per
 value index ``c``, with query ``i``'s entry at position ``i``
 (``HamletPlan.pos``). Eq. 2 runs over positions, not queries: one kernel
 (``_eq2``, ``_keep``), driven by the plan's per-type tables (``_Kernel``),
 makes one pass per transition, adds the start and own-channel terms, and
-stores the event into its type's totals and the end positions' results.
+stores the event into its type's totals. Eq. 3 sums over end events, so a
+query's result is its end type's totals; only under a trailing negation,
+which voids the sum so far, is it a separate pending column.
 The tables are the paper's merged template (Fig. 3(b)): a transition is
 one entry, labelled with the positions that share it. Non-Kleene events
 and a burst's non-sharers run the kernel, and a negative event copies the
@@ -81,7 +85,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .events import Event
 from .greta import CNT, Channel, aggregates, channels_for, reader, zero
-from .optimizer import BurstStats, choose_plan
+from .optimizer import BurstStats, choose_plan, fixed_plan
 from .queries import Query
 from .snapshots import Graphlet
 from .template import Template, build_template, pane_size
@@ -126,7 +130,7 @@ class _Kernel(NamedTuple):
     edges: tuple  # (ptype, blocker, positions) per transition into the type
     recs: tuple  # (position, krecs key, edge predicate): same-type records
     starts: tuple  # the positions whose templates start at the type
-    ends: tuple  # the positions whose templates end at the type
+    pend: tuple  # the positions that end at the type under a trailing negation
     own: tuple  # (value index, attr) of each channel on the type
     mm: tuple  # (position, qid, name, attr) of each MIN/MAX on the type
     checks: tuple  # (position, query) with a unary predicate on the type
@@ -161,7 +165,7 @@ class _Kernel(NamedTuple):
 
         return _Kernel(
             keep(self.idx), groups(self.edges), rows(self.recs), keep(self.starts),
-            keep(self.ends), self.own, rows(self.mm), rows(self.checks),
+            keep(self.pend), self.own, rows(self.mm), rows(self.checks),
             keep(self.neg), groups(self.cuts), keep(self.voids), {},
         )
 
@@ -188,8 +192,8 @@ class HamletPlan:
     It holds the queries, their templates, the set's aggregate channels,
     each query's position in the runtime columns, the ONE snapshot's
     count column, the Eq. 2 kernel tables of every event type, the entry
-    snapshot's predecessor edges, each query's result reader and the
-    optimizer's constant inputs. A plan is built once per executor entry
+    snapshot's predecessor edges, each query's result source and reader,
+    and the optimizer's constant inputs or its fixed decision. A plan is built once per executor entry
     of a workload and never changed afterwards
     (apart from the kernel tables' caches of restricted copies), so all
     the :class:`HamletSetEngine` instances of an entry share one plan and
@@ -221,22 +225,30 @@ class HamletPlan:
         self.channels = tuple(chans)
         self.nch = len(chans)
         self.zero = tuple(zero(self.nch))
-        # per position: the query's result reader (``greta.reader``) and its
+        # per position: where its Eq. 3 sum over end events is (the end
+        # type's totals, or ``None``: the pending column under a trailing
+        # negation), the query's result reader (``greta.reader``) and its
         # MIN/MAX values' slots in an engine's ``mm``, in the reader's order
         self.readers = tuple(
             (
                 q.qid,
+                i,
+                _result_source(self.tpls[q.qid]),
                 reader(q, self.channels),
                 tuple(((q.qid, a.name), int(a.fn == "MAX")) for a in q.aggs if a.fn in ("MIN", "MAX")),
             )
-            for q in self.qs
+            for i, q in enumerate(self.qs)
         )
+        # the distinct result sources, in position order
+        self.sources = tuple(dict.fromkeys(r[2] for r in self.readers))
         # the ONE snapshot's count column (its channels are zero): the start
         # term of a Kleene event. It is the plan's, shared by every engine
         # and never in its runtime state
         self.one = tuple(1 if self.E in self.tpls[q.qid].start else 0 for q in self.qs)
         self.any_kleene_start = any(self.one)
-        self.types = frozenset().union(*(t.types for t in self.tpls.values()))
+        # sorted, as is every per-type dict built from them, so that a
+        # pickled engine does not depend on the string hash seed
+        self.types = tuple(sorted(frozenset().union(*(t.types for t in self.tpls.values()))))
         self.kernels = {t: self._kernel(t) for t in self.types}
         ker = self.kernels.get(self.E) or self._kernel(self.E)  # empty if E is None
         # a graphlet's entry snapshot: E's predecessor sums for every
@@ -248,6 +260,11 @@ class HamletPlan:
         self.e_plain = ker.without(recd)
         self.e_recd = ker.without(frozenset(ker.idx) - recd)
         self.edge_pred_qids = frozenset(q.qid for q in self.qs if q.edge_pred)
+        # the sharing decision of every burst, where no burst can change it
+        self.fixed = fixed_plan(
+            mode=mode, all_qids=self.all_qids, unary_on_kleene=bool(ker.checks),
+            edge_preds=bool(self.edge_pred_qids),
+        )
         # an edge-predicate query's stored records, one list per Kleene type
         self.krec_keys = tuple(r[1] for ker in self.kernels.values() for r in ker.recs)
         # the per-type totals never gain a key, so the memory estimate counts
@@ -291,7 +308,7 @@ class HamletPlan:
             ),
             recs,
             tuple(i for i, _, tpl in pos if t in tpl.start),
-            tuple(i for i, _, tpl in pos if t in tpl.end),
+            tuple(i for i, _, tpl in pos if t in tpl.end and tpl.trailing_neg is not None),
             tuple((c, ch.attr) for c, ch in enumerate(self.channels, CNT + 1) if ch.etype == t),
             tuple(
                 (i, q.qid, a.name, a.attr)
@@ -351,9 +368,11 @@ class HamletSetEngine:
         # type: its same-type predecessors are checked pairwise (Eq. 2)
         self.krecs: dict[tuple, list] = {key: [] for key in plan.krec_keys}
         self.n_krecs = 0
-        # the Eq. 3 sum over end events; under a trailing negation it is
-        # pending, and a later matched negative event voids it
-        self.res: list[list] = plan.zero_columns()
+        # Eq. 3 sums over end events, so a position's result is its end
+        # type's totals; under a trailing negation it is pending instead,
+        # and a later matched negative event voids it (``None``: no such
+        # position)
+        self.pending: Optional[list[list]] = plan.zero_columns() if None in plan.sources else None
         # (qid, name) -> [min, max]: a MIN/MAX is on an end type, in one kernel
         self.mm: dict[tuple, list] = {
             (qid, name): [math.inf, -math.inf] for ker in plan.kernels.values() for _, qid, name, _ in ker.mm
@@ -418,13 +437,13 @@ class HamletSetEngine:
 
     def _keep(self, e: Event, ker: _Kernel, cols: list[list]) -> None:
         """Keep an event's Eq. 2 columns outside a shared graphlet: in its
-        type's totals and stored records, in the results at the end
-        positions, and in MIN/MAX."""
+        type's totals and stored records, in the pending results, and in
+        MIN/MAX."""
         if ker.recs:
             self._append_recs(e, ker, cols)
         _add_at(self.totals[e.etype], cols, ker.idx)
         self.m.stored_events += len(ker.idx)
-        _add_at(self.res, cols, ker.ends)
+        _add_at(self.pending, cols, ker.pend)
         if ker.mm:
             cnt = cols[CNT]
             self._minmax(e, [m for m in ker.mm if cnt[m[0]] > 0])
@@ -481,9 +500,10 @@ class HamletSetEngine:
             for cc, col in zip(cut, self.totals[key[0]]):
                 for i in at:
                     cc[i] = col[i]
-        for col, z in zip(self.res, self.plan.zero):
-            for i in ker.voids:
-                col[i] = z
+        if ker.voids:
+            for col, z in zip(self.pending, self.plan.zero):
+                for i in ker.voids:
+                    col[i] = z
 
     # -- Kleene burst handling -----------------------------------------
     def _flush_burst(self) -> None:
@@ -493,25 +513,26 @@ class HamletSetEngine:
         burst, self.burst = self.burst, []
         # each event's unary predicates on E, evaluated once: the positions
         # that fail them. Both cuts below read them, and so do the match
-        # vectors, which only the dynamic optimizer reads
+        # vectors of a decision the burst can change
         checks = p.kernels[p.E].checks
         if checks:
             fails = [frozenset(i for i, q in checks if not q.matches(ev)) for ev in burst]
         else:
             fails = [frozenset()] * len(burst)
-        stats = BurstStats(
-            b=len(burst),
-            qids=p.qids,
-            match_vectors={q.qid: tuple(i not in f for f in fails) for i, q in checks}
-            if p.mode == "dynamic" else {},
-            edge_pred_qids=p.edge_pred_qids,
-            all_qids=p.all_qids,
-        )
         gr = self.graphlet
-        decision = choose_plan(
-            stats, mode=p.mode, n_so_far=self.n_so_far, g_active=gr.g if gr else 0,
-            s_p_live=gr.live() if gr else 0, p_avg=p.p_avg,
-        )
+        decision = p.fixed
+        if decision is None:
+            stats = BurstStats(
+                b=len(burst),
+                qids=p.qids,
+                match_vectors={q.qid: tuple(i not in f for f in fails) for i, q in checks},
+                edge_pred_qids=p.edge_pred_qids,
+                all_qids=p.all_qids,
+            )
+            decision = choose_plan(
+                stats, mode=p.mode, n_so_far=self.n_so_far, g_active=gr.g if gr else 0,
+                s_p_live=gr.live() if gr else 0, p_avg=p.p_avg,
+            )
         cur = gr.sharers if gr else frozenset()
         self.m.bursts += 1
         self.m.decisions += 1
@@ -581,7 +602,7 @@ class HamletSetEngine:
     def _close_graphlet(self) -> None:
         """Resolve the open graphlet for all sharers at once and add its
         events' values to ``E``'s totals and, where ``E`` ends the
-        template, to the results."""
+        template under a trailing negation, to the pending results."""
         gr = self.graphlet
         if gr is None:
             return
@@ -590,7 +611,7 @@ class HamletSetEngine:
         self.m.ops += len(gr.sharers) * gr.live()
         ker = p.e_open.without(gr.out)
         _add_at(self.totals[p.E], vals, ker.idx)
-        _add_at(self.res, vals, ker.ends)
+        _add_at(self.pending, vals, ker.pend)
         self.graphlet = None
 
     def _uniform_run(self, evs: Sequence[Event]) -> None:
@@ -663,8 +684,11 @@ class HamletSetEngine:
         """Final aggregates per member query for this window instance."""
         mm = self.mm
         out: dict[str, dict[str, float]] = {}
-        # one value vector per position, read by the plan's readers
-        for (qid, rd, slots), vals in zip(self.plan.readers, zip(*self.res)):
+        # one value vector per position of each result column, read by the
+        # plan's readers
+        rows = {src: list(zip(*self._sums(src))) for src in self.plan.sources}
+        for qid, i, src, rd, slots in self.plan.readers:
+            vals = rows[src][i]
             if slots:
                 extremes = (mm[key][hi] for key, hi in slots)
                 vals = (*vals, *(v if math.isfinite(v) else math.nan for v in extremes))
@@ -672,7 +696,21 @@ class HamletSetEngine:
         return out
 
     def exact_counts(self) -> dict[str, int]:
-        return {q.qid: self.res[CNT][i] for i, q in enumerate(self.plan.qs)}
+        return {qid: self._sums(src)[CNT][i] for qid, i, src, *_ in self.plan.readers}
+
+    def _sums(self, src: Optional[str]) -> list[list]:
+        """The columns that hold Eq. 3's sums at the positions whose
+        result source (``HamletPlan.readers``) is ``src``."""
+        return self.pending if src is None else self.totals[src]
+
+
+def _result_source(tpl: Template) -> Optional[str]:
+    """Where a position's Eq. 3 sum over end events is: the totals of its
+    one end type (``build_template`` gives each template one), or ``None``,
+    the pending column, under a trailing negation: a voided total cannot be
+    subtracted from a float channel without rounding."""
+    (end,) = tpl.end
+    return None if tpl.trailing_neg is not None else end
 
 
 def _add_at(dst: list[list], src: Sequence[Sequence], idx) -> None:

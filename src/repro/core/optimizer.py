@@ -7,7 +7,8 @@ form with ``log2(g)`` insertion cost and predecessor-type factor ``p``)
 Theorems 4.1 and 4.2: queries that introduce no snapshots always share;
 each snapshot-introducing query is included iff its marginal snapshot
 cost is below its re-computation cost, so only the m+1 Level-1/2 plans
-of the Fig. 7 lattice are ever evaluated.
+of the Fig. 7 lattice are ever evaluated. Where no burst can change the
+decision (``fixed_plan``), the executor takes it once per plan.
 """
 from __future__ import annotations
 
@@ -101,6 +102,32 @@ def _divergent_events(stats: BurstStats) -> dict[str, int]:
         else:
             out[qid] = sum(1 for a, r in zip(mv, reference) if a != r)
     return out
+
+
+def fixed_plan(
+    *, mode: str, all_qids: frozenset, unary_on_kleene: bool, edge_preds: bool
+) -> Optional[SharingPlan]:
+    """The decision :func:`choose_plan` returns for every burst of a set of
+    queries ``all_qids``, where no burst can change it, and ``None`` where
+    one can. ``unary_on_kleene``: some query has a unary predicate on the
+    Kleene type; ``edge_preds``: some query has an edge predicate.
+
+    Under 'static' and 'nonshared' the decision never reads the burst.
+    Under 'dynamic' it is fixed when ``k >= 3`` queries have neither kind of
+    predicate: by Thm 4.1 every query shares (no match vector to build, no
+    snapshot, ``s_c = 0``), and since such a graphlet's run references only
+    its entry and ONE (``s_p <= 2``), Eq. 8's benefit is
+    ``b·((k - 1)·log2 g + n·(k - s_p)) >= b·n > 0``. With ``k = 2`` and
+    ``s_p = 2`` it is ``b·log2 g``, which may round to 0, so such a pair
+    decides per burst."""
+    k = len(all_qids)
+    if mode == "static":
+        return SharingPlan(shared=all_qids if k > 1 else frozenset())
+    if mode == "nonshared" or k < 2:
+        return SharingPlan(shared=frozenset())
+    if k >= 3 and not unary_on_kleene and not edge_preds:
+        return SharingPlan(shared=all_qids)
+    return None
 
 
 def choose_plan(

@@ -69,6 +69,15 @@ class Graphlet:
         self.run: list[Vec] = [{} for _ in entry]
         self.snaps: list[Columns] = [entry]
 
+    def __getstate__(self):
+        # the sets sorted, so that a pickled graphlet does not depend on the
+        # string hash seed
+        return sorted(self.sharers), sorted(self.out), self.mm, self.g, self.run, self.snaps
+
+    def __setstate__(self, state):
+        sharers, out, self.mm, self.g, self.run, self.snaps = state
+        self.sharers, self.out = frozenset(sharers), frozenset(out)
+
     def add_run(self, b: int, sums: Sequence, start: bool) -> int:
         """A run of ``b`` events that every sharer matches, as one update
         of the run; returns the coefficient terms written. Before the run,

@@ -8,8 +8,9 @@ by the group attribute and processed with ``applyInPandasWithState``.
 The group state carries the per-window engines' runtime state, for any
 system (their shared executor plans stay in the function's closure); in
 every micro-batch Hamlet's dynamic optimizer re-decides the sharing plan for
-each burst (``choose_plan``), so plans adapt micro-batch by micro-batch
-exactly as the paper's optimizer adapts per burst. Completed windows
+each burst (``choose_plan``; a set whose decision no burst can change
+keeps its plan's), so plans adapt micro-batch by micro-batch exactly as
+the paper's optimizer adapts per burst. Completed windows
 are emitted in update mode; a far-future flush sentinel closes the final
 windows (the offline stand-in for a watermark).
 

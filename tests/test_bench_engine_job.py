@@ -90,3 +90,29 @@ def test_check_unknown_label_fails(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="nope"):
         job.main(["--check", "nope", "--out", str(out)])
     assert out.read_text() == json.dumps({"runs": {}})
+
+
+def test_ab_writes_both_checkouts_labels(tmp_path):
+    """``--ab`` with this checkout on both sides: it loads the checkout's
+    ``src/repro`` a second time, under another package name, and writes
+    both labels in one invocation, with equal counters."""
+    job = _job()
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "bench.json"
+    try:
+        assert job.main(["--ab", str(root), "--repeat", "1", "--label", "this", "--out", str(out)]) == 0
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "repro_ab"]:
+            del sys.modules[name]
+    runs = json.loads(out.read_text())["runs"]
+    other = job.checkout_label(str(root))
+    assert sorted(runs) == sorted(["this", other])
+
+    def counters(label):
+        return {
+            name: {s: {c: per[s][c] for c in job.COUNTERS} for s in job.SYSTEMS} | {"events": per["events"]}
+            for name, per in runs[label]["results"].items()
+        }
+
+    assert counters("this") == counters(other)
+    assert sorted(counters("this")) == sorted(job.CONFIGS)

@@ -1,12 +1,14 @@
 """Hamlet shared executor (Algorithm 1) — equivalence with GRETA and
 brute force under every sharing mode, plus graphlet/burst/snapshot
 mechanics (paper §3.3 and §4.2)."""
+import dataclasses
 import random
 
 import pytest
 
+from repro.core import hamlet as hamlet_mod
 from repro.core.events import Event
-from repro.core.greta import run_greta
+from repro.core.greta import GretaState, run_greta
 from repro.core.hamlet import HamletPlan, run_hamlet_set
 from repro.core.queries import (
     AggSpec,
@@ -18,6 +20,7 @@ from repro.core.queries import (
     Query,
     seq,
 )
+from repro.core.workloads import workload1
 
 from util import assert_matches_brute, random_events, random_query, windowed
 
@@ -663,3 +666,119 @@ def test_uniform_run_cost_does_not_grow_with_its_length(mode):
     assert short.snapshots_created == long_.snapshots_created == 1
     assert short.coeff_ops == long_.coeff_ops > 0
     assert long_.stored_events - short.stored_events == 297
+
+
+# -- decisions no burst can change -------------------------------------------
+
+
+def _count_choose_plan(monkeypatch) -> list:
+    """Count the executor's ``choose_plan`` calls: the list gets each
+    call's burst size."""
+    calls = []
+    choose = hamlet_mod.choose_plan
+
+    def counted(stats, **kw):
+        calls.append(stats.b)
+        return choose(stats, **kw)
+
+    monkeypatch.setattr(hamlet_mod, "choose_plan", counted)
+    return calls
+
+
+def _decision_set(variant):
+    """``workload1`` over Kleene B, or one of its variants whose dynamic
+    decision a burst can change."""
+    qs = workload1(2 if variant == "pair" else 5, kleene_type="B", prefixes=("A", "C"))
+    if variant == "unary":
+        qs[0] = dataclasses.replace(qs[0], where={"B": (Pred("v", ">=", 3),)})
+    elif variant == "edge":
+        qs[0] = dataclasses.replace(qs[0], edge_pred=EdgePred("v", "<="))
+    return windowed(qs, 100.0)
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+@pytest.mark.parametrize("variant", ["workload1", "unary", "edge", "pair"])
+def test_choose_plan_called_where_a_burst_can_change_it(variant, mode, monkeypatch):
+    """A ``workload1`` plan shares every burst without asking the
+    optimizer (Thm 4.1, Eq. 8), and so does every 'static' and 'nonshared'
+    plan; a unary predicate on E, an edge predicate or a pair of queries
+    leaves the dynamic decision to ``choose_plan``, once per burst. The
+    counters count per burst either way."""
+    calls = _count_choose_plan(monkeypatch)
+    eng = HamletPlan(_decision_set(variant), mode=mode).new_engine()
+    events = _bursty_events(3)
+    for e in events:
+        eng.on_event(e)
+    eng.end_window()
+    m = eng.m
+    assert m.bursts > 5 and m.decisions == m.bursts
+    if mode == "dynamic" and variant != "workload1":
+        assert len(calls) == m.bursts
+    else:
+        assert calls == [] and m.plans_considered == m.bursts
+    if mode == "static" or (mode == "dynamic" and variant == "workload1"):
+        assert m.shared_bursts == m.bursts
+    for q in eng.plan.qs:
+        ref = GretaState(q)
+        for e in events:
+            ref.on_event(e)
+        assert eng.exact_counts()[q.qid] == ref.exact_count(), q.qid
+
+
+# -- Eq. 3 results: the end type's totals, or pending under a trailing negation
+
+
+def _negation_stream(seed):
+    """14 events: A's, bursts of B's and C's, with a C that
+    ``_pending_set``'s negation matches (v >= 3) after an A and a B, and
+    a B right after it."""
+    rng = random.Random(seed)
+
+    def some(n):
+        out = []
+        while len(out) < n:
+            out += rng.choice([["A"], ["B"] * rng.randint(1, 3), ["C"]])
+        return out[:n]
+
+    types = ["A", "B", *some(4), "C", "B", *some(6)]
+    evs = [Event(i + rng.random() * 0.5, et, {"v": float(rng.randint(0, 9))}) for i, et in enumerate(types)]
+    evs[6].attrs["v"] = 5.0
+    return evs
+
+
+def _pending_set():
+    """``SEQ(A, B+, NOT C)`` with SUM and AVG on B, next to three plain
+    ``SEQ(A, B+)`` queries."""
+    sums = (AggSpec("COUNT_STAR"), AggSpec("SUM", "B", "v"), AggSpec("AVG", "B", "v"))
+    return windowed(
+        [
+            Query(qid="neg", elems=seq(Atom("A"), Kleene("B"), Neg("C")), aggs=sums,
+                  where={"C": (Pred("v", ">=", 3),)}),
+            *(Query(qid=f"p{i}", elems=seq(Atom("A"), Kleene("B")), aggs=sums) for i in range(3)),
+        ],
+        100.0,
+    )
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+@pytest.mark.parametrize("seed", range(8))
+def test_trailing_negation_results_stay_pending(seed, mode):
+    """Each position's Eq. 3 sum is its end type's totals, except under a
+    trailing negation, whose pending column a matched negative voids while
+    the totals go on: after a matched C and more B's, the negation query
+    differs from the plain ones and equals brute force and GRETA's exact
+    count, in every mode."""
+    events = _negation_stream(seed)
+    qs = _pending_set()
+    eng = HamletPlan(qs, mode=mode).new_engine()
+    for e in events:
+        eng.on_event(e)
+    eng.end_window()
+    res, counts = eng.results(), eng.exact_counts()
+    for q in qs:
+        assert_matches_brute(events, q, res[q.qid])
+        ref = GretaState(q)
+        for e in events:
+            ref.on_event(e)
+        assert counts[q.qid] == ref.exact_count(), q.qid
+    assert res["neg"] != res["p0"]

@@ -1,8 +1,9 @@
 """Dynamic sharing optimizer: cost model properties, per-burst decisions,
 query-set choice, Theorems 4.1/4.2 behaviour (paper §4)."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.optimizer import BurstStats, CostModel, SharingPlan, choose_plan
+from repro.core.optimizer import BurstStats, CostModel, SharingPlan, choose_plan, fixed_plan
 
 COST = CostModel()
 
@@ -130,3 +131,57 @@ def test_simple_model_matches_refined_direction():
     kw = dict(b=20, n=200, g=20, s_c=0, s_p=1, k=8)
     assert COST.benefit(p=2, **kw) > 0
     assert COST.benefit_simple(t=2, **kw) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b=st.integers(1, 10**6),
+    n_so_far=st.integers(0, 10**9),
+    g_active=st.integers(0, 10**9),
+    s_p_live=st.integers(0, 2),
+    p_avg=st.floats(0.0, 1e3),
+    k=st.integers(3, 60),
+)
+def test_predicate_free_dynamic_decision_is_fixed(b, n_so_far, g_active, s_p_live, p_avg, k):
+    """The decision a Hamlet plan takes once instead of per burst: with
+    k >= 3 queries, no match vector and no edge predicate, and a live
+    graphlet that references at most its entry and ONE (s_p <= 2), every
+    burst is shared by every query (Thm 4.1, Eq. 8's benefit >= b·n > 0).
+    A refit of Eq. 8 that makes such a burst split fails here."""
+    qids = tuple(f"q{i}" for i in range(k))
+    stats = BurstStats(b=b, qids=qids, match_vectors={}, edge_pred_qids=frozenset())
+    plan = choose_plan(
+        stats, mode="dynamic", n_so_far=n_so_far, g_active=g_active, s_p_live=s_p_live, p_avg=p_avg
+    )
+    assert plan.shared == frozenset(qids)
+    assert plan == fixed_plan(
+        mode="dynamic", all_qids=frozenset(qids), unary_on_kleene=False, edge_preds=False
+    )
+
+
+@pytest.mark.parametrize("mode", ["static", "nonshared"])
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("divergent, edge_pred", [((), ()), (("q0",), ()), ((), ("q0",))])
+def test_static_and_nonshared_decisions_are_fixed(mode, k, divergent, edge_pred):
+    """Under 'static' and 'nonshared' no burst changes the decision: the
+    fixed plan is the one ``choose_plan`` returns for any burst."""
+    stats = _stats(k=k, divergent=divergent, edge_pred=edge_pred)
+    want = fixed_plan(
+        mode=mode, all_qids=stats.all_qids, unary_on_kleene=bool(divergent), edge_preds=bool(edge_pred)
+    )
+    for n_so_far, g_active, s_p_live in ((1, 0, 0), (500, 10_000, 40)):
+        got = choose_plan(stats, mode=mode, n_so_far=n_so_far, g_active=g_active, s_p_live=s_p_live, p_avg=3)
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "k, unary_on_kleene, edge_preds",
+    [(2, False, False), (3, True, False), (3, False, True), (50, True, True)],
+)
+def test_dynamic_decision_varies_with_predicates_or_a_pair(k, unary_on_kleene, edge_preds):
+    """A unary predicate on the Kleene type, an edge predicate or a pair of
+    queries leaves the dynamic decision to each burst."""
+    qids = frozenset(f"q{i}" for i in range(k))
+    assert fixed_plan(
+        mode="dynamic", all_qids=qids, unary_on_kleene=unary_on_kleene, edge_preds=edge_preds
+    ) is None

@@ -2,8 +2,11 @@
 live Hamlet engine state across batches, dynamic sharing per burst —
 output must equal the batch engine's."""
 import json
+import os
 import pickletools
 import random
+import subprocess
+import sys
 import time
 
 import pandas as pd
@@ -11,6 +14,7 @@ import pytest
 from pyspark import cloudpickle
 from pyspark.sql.streaming import DataStreamWriter, StreamingQueryListener
 
+import repro
 from repro.core.brute import brute_results
 from repro.core.engine import run_system, window_executors
 from repro.core.events import Event, events_from_pandas
@@ -421,3 +425,46 @@ def test_event_just_before_window_end_counts(system):
     stream = rows.set_index(["window_start", "qid", "agg"])["value"]
     assert stream[(0.0, "q", "COUNT(*)")] == want
     assert stream[(60.0, "q", "COUNT(*)")] == batch[("q", 60.0)]["COUNT(*)"] == 0.0
+
+
+_BLOB_SCRIPT = """
+import hashlib
+from repro.core.workloads import workload1
+from repro.sparkrt.streaming import make_stateful_func
+from repro.streams import nyc_taxi_stream
+
+class State:
+    get = None
+    exists = property(lambda self: self.get is not None)
+    def update(self, row):
+        self.get = row
+
+pdf = nyc_taxi_stream(minutes=57 / 60, events_per_min=200, n_groups=4, seed=1)
+wl = workload1(50, kleene_type="T", prefixes=("R", "P", "D", "C"), window=240.0, slide=240.0)
+for system in ("greta", "hamlet", "hamlet-static", "hamlet-nonshared"):
+    func = make_stateful_func(wl, system, 240.0)
+    for gkey, grp in pdf.groupby("gkey"):
+        state, half = State(), len(grp) // 2
+        for part in (grp.iloc[:half], grp.iloc[half:]):
+            list(func((gkey,), iter([part]), state))
+            print(system, gkey, len(state.get[0]), hashlib.sha256(state.get[0]).hexdigest())
+"""
+
+
+def test_state_blobs_do_not_depend_on_the_hash_seed():
+    """perfbench's streamed minute (nyc-shared, seed 1), each key's events
+    in two calls: the state blobs of GRETA and the three Hamlet systems are
+    byte-identical under two string hash seeds. The engines' per-type dicts
+    are built in sorted type order, and a graphlet pickles its sharer set
+    sorted."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outs = []
+    for seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLOB_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.splitlines())
+    assert len(outs[0]) == 4 * 4 * 2
+    assert outs[0] == outs[1]
