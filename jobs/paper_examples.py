@@ -5,7 +5,7 @@ numbers."""
 from repro.core.events import Event
 from repro.core.greta import CNT
 from repro.core.hamlet import HamletPlan
-from repro.core.optimizer import BurstStats, CostModel, choose_plan
+from repro.core.optimizer import BurstStats, choose_plan, nonshared_cost_simple, shared_cost_simple
 from repro.core.queries import Atom, EdgePred, Kleene, Query, seq
 
 
@@ -67,14 +67,13 @@ def main() -> None:
     rows.append(("Table 5", "z", "(8, 2)", f"({z[0]}, {z[1]})"))
     rows.append(("Table 5", "y", "(34, 15)", f"({y[0]}, {y[1]})"))
 
-    cost = CostModel()
     for eq, name, paper, got in (
-        ("Eq. 9", "Shared(B3)", 44, cost.shared_cost_simple(b=4, n=7, g=4, s_c=1, s_p=1, k=2, t=2)),
-        ("Eq. 9", "NonShared", 56, cost.nonshared_cost_simple(b=4, n=7, k=2)),
-        ("Eq. 10", "Shared(B3)", 120, cost.shared_cost_simple(b=4, n=11, g=8, s_c=1, s_p=2, k=2, t=2)),
-        ("Eq. 10", "NonShared", 88, cost.nonshared_cost_simple(b=4, n=11, k=2)),
-        ("Eq. 11", "Shared(B6)", 76, cost.shared_cost_simple(b=4, n=15, g=4, s_c=1, s_p=1, k=2, t=2)),
-        ("Eq. 11", "NonShared", 120, cost.nonshared_cost_simple(b=4, n=15, k=2)),
+        ("Eq. 9", "Shared(B3)", 44, shared_cost_simple(b=4, n=7, g=4, s_c=1, s_p=1, k=2, t=2)),
+        ("Eq. 9", "NonShared", 56, nonshared_cost_simple(b=4, n=7, k=2)),
+        ("Eq. 10", "Shared(B3)", 120, shared_cost_simple(b=4, n=11, g=8, s_c=1, s_p=2, k=2, t=2)),
+        ("Eq. 10", "NonShared", 88, nonshared_cost_simple(b=4, n=11, k=2)),
+        ("Eq. 11", "Shared(B6)", 76, shared_cost_simple(b=4, n=15, g=4, s_c=1, s_p=1, k=2, t=2)),
+        ("Eq. 11", "NonShared", 120, nonshared_cost_simple(b=4, n=15, k=2)),
     ):
         rows.append((eq, name, str(paper), f"{got:.0f}"))
 
@@ -86,7 +85,7 @@ def main() -> None:
         match_vectors={"q2": (True, False, True, True), "q4": (False, True, True, True)},
         edge_pred_qids=frozenset(),
     )
-    plan = choose_plan(stats, mode="dynamic", n_so_far=10, g_active=0, s_p_live=1, p_avg=2)
+    plan = choose_plan(stats, n_so_far=10, g_active=0, s_p_live=1, p_avg=2)
     rows.append(("Fig. 7", f"plans for m = {plan.m_snapshot_queries}", "m + 1 = 3", str(plan.plans_considered)))
 
     print("T-EX | quantity | paper | ours")

@@ -3,10 +3,10 @@
 One :class:`HamletSetEngine` runs a *sharable set* of queries (same
 Kleene type, window, group-by, compatible aggregates — Definition 5)
 over one (group, window instance). Events of the shared Kleene type are
-buffered into *bursts* (Definition 10); per complete burst the dynamic
-optimizer picks the sharing plan (``optimizer.choose_plan``), unless the
-plan holds a decision no burst can change (``optimizer.fixed_plan``,
-taken once per plan: always under ``static`` and ``nonshared``); shared
+buffered into *bursts* (Definition 10). A complete burst's sharers are
+the plan's fixed decision where it has one (``optimizer.fixed_plan``,
+taken once per plan) and otherwise the per-burst Thm 4.1/4.2 and Eq. 8
+choice (``optimizer.choose_plan``). Shared
 bursts extend a *shared graphlet* whose per-event intermediate
 aggregates are coefficient vectors over snapshots, while
 non-shared members propagate on their own totals (Eq. 2). Graphlet
@@ -207,9 +207,6 @@ class HamletPlan:
         self.pos = {q.qid: i for i, q in enumerate(self.qs)}
         self.k = len(self.qs)
         self.qids = tuple(sorted(self.pos))
-        # every query sharing: the Thm 4.1 and static plans' sharer set
-        self.all_qids = frozenset(self.qids)
-        self.mode = mode
         self.tpls: dict[str, Template] = {q.qid: build_template(q) for q in self.qs}
         # the smallest Kleene type every query has; without one no burst opens
         shared = frozenset.intersection(*(t.kleene for t in self.tpls.values()))
@@ -262,7 +259,7 @@ class HamletPlan:
         self.edge_pred_qids = frozenset(q.qid for q in self.qs if q.edge_pred)
         # the sharing decision of every burst, where no burst can change it
         self.fixed = fixed_plan(
-            mode=mode, all_qids=self.all_qids, unary_on_kleene=bool(ker.checks),
+            mode=mode, all_qids=frozenset(self.qids), unary_on_kleene=bool(ker.checks),
             edge_preds=bool(self.edge_pred_qids),
         )
         # an edge-predicate query's stored records, one list per Kleene type
@@ -523,14 +520,11 @@ class HamletSetEngine:
         decision = p.fixed
         if decision is None:
             stats = BurstStats(
-                b=len(burst),
-                qids=p.qids,
+                b=len(burst), qids=p.qids, edge_pred_qids=p.edge_pred_qids,
                 match_vectors={q.qid: tuple(i not in f for f in fails) for i, q in checks},
-                edge_pred_qids=p.edge_pred_qids,
-                all_qids=p.all_qids,
             )
             decision = choose_plan(
-                stats, mode=p.mode, n_so_far=self.n_so_far, g_active=gr.g if gr else 0,
+                stats, n_so_far=self.n_so_far, g_active=gr.g if gr else 0,
                 s_p_live=gr.live() if gr else 0, p_avg=p.p_avg,
             )
         cur = gr.sharers if gr else frozenset()

@@ -162,6 +162,37 @@ def test_pane_boundary_flushes_burst_but_keeps_graphlet():
     assert eng.exact_counts()["q1"] == 7
 
 
+@pytest.mark.parametrize("mode", ["dynamic", "static", "nonshared"])
+def test_graphlet_splits_and_merges_across_panes(mode):
+    """§4.2's split and merge. A graphlet outlives its pane, so the next
+    pane's burst decides again against the open graphlet's sharers. The
+    predicate query fails every event of the middle pane, so the dynamic
+    optimizer leaves it out (Thm 4.2): the graphlet splits and the other
+    two go on in a new one. It matches the last pane's event, so all three
+    merge again. Static and nonshared never change their decision."""
+    plain = seq(Atom("A"), Kleene("B"))
+    qs = windowed(
+        [
+            Query(qid="q1", elems=plain),
+            Query(qid="q2", elems=plain),
+            Query(qid="q3", elems=plain, where={"B": (Pred("v", ">", 5),)}),
+        ],
+        2.0,
+    )
+    evs = [_ev(0, "A"), _ev(0.5, "B", 9), _ev(1.0, "B", 9), _ev(2.5, "B", 1), _ev(3.0, "B", 1), _ev(4.5, "B", 9)]
+    eng = HamletPlan(qs, mode=mode).new_engine()
+    for e in evs:
+        eng.on_event(e)
+    eng.end_window()
+    if mode == "dynamic":
+        assert eng.m.splits >= 1 and eng.m.merges >= 1
+    else:
+        assert eng.m.splits == eng.m.merges == 0
+    res = eng.results()
+    for q in qs:
+        assert_matches_brute(evs, q, res[q.qid])
+
+
 def test_exact_counts_beyond_double_precision():
     eng = _mk_engine([Q1, Q2])
     eng.on_event(_ev(0, "A"))

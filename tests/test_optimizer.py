@@ -3,9 +3,9 @@ query-set choice, Theorems 4.1/4.2 behaviour (paper §4)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.optimizer import BurstStats, CostModel, SharingPlan, choose_plan, fixed_plan
-
-COST = CostModel()
+from repro.core.optimizer import (
+    BurstStats, SharingPlan, benefit, benefit_simple, choose_plan, fixed_plan,
+)
 
 
 def _stats(k=4, b=6, divergent=(), edge_pred=()):
@@ -21,44 +21,51 @@ def _stats(k=4, b=6, divergent=(), edge_pred=()):
 
 
 def test_benefit_grows_with_k():
-    b1 = COST.benefit(b=10, n=100, g=10, s_c=0, s_p=1, k=2, p=2)
-    b2 = COST.benefit(b=10, n=100, g=10, s_c=0, s_p=1, k=10, p=2)
+    b1 = benefit(b=10, n=100, g=10, s_c=0, s_p=1, k=2, p=2)
+    b2 = benefit(b=10, n=100, g=10, s_c=0, s_p=1, k=10, p=2)
     assert b2 > b1 > 0
 
 
 def test_benefit_shrinks_with_snapshots():
-    clean = COST.benefit(b=10, n=100, g=10, s_c=0, s_p=1, k=3, p=2)
-    snappy = COST.benefit(b=10, n=100, g=10, s_c=10, s_p=10, k=3, p=2)
+    clean = benefit(b=10, n=100, g=10, s_c=0, s_p=1, k=3, p=2)
+    snappy = benefit(b=10, n=100, g=10, s_c=10, s_p=10, k=3, p=2)
     assert snappy < clean
 
 
 def test_benefit_can_go_negative():
-    assert COST.benefit(b=4, n=10, g=200, s_c=4, s_p=20, k=2, p=3) < 0
+    assert benefit(b=4, n=10, g=200, s_c=4, s_p=20, k=2, p=3) < 0
+
+
+def _fixed(mode, k, unary_on_kleene=False, edge_preds=False):
+    return fixed_plan(
+        mode=mode, all_qids=frozenset(f"q{i}" for i in range(k)),
+        unary_on_kleene=unary_on_kleene, edge_preds=edge_preds,
+    )
 
 
 def test_static_mode_always_shares_all():
-    plan = choose_plan(_stats(), mode="static", n_so_far=1, g_active=0, s_p_live=0, p_avg=2)
+    plan = _fixed("static", 4)
     assert len(plan.shared) == 4
 
 
 def test_nonshared_mode_never_shares():
-    plan = choose_plan(_stats(), mode="nonshared", n_so_far=1, g_active=0, s_p_live=0, p_avg=2)
+    plan = _fixed("nonshared", 4)
     assert plan.shared == frozenset()
 
 
 def test_single_query_cannot_share():
-    plan = choose_plan(_stats(k=1), mode="dynamic", n_so_far=10, g_active=0, s_p_live=0, p_avg=2)
+    plan = _fixed("dynamic", 1)
     assert plan.shared == frozenset()
 
 
 def test_clean_burst_is_shared_by_all():
-    plan = choose_plan(_stats(k=5), mode="dynamic", n_so_far=50, g_active=0, s_p_live=1, p_avg=2)
+    plan = choose_plan(_stats(k=5), n_so_far=50, g_active=0, s_p_live=1, p_avg=2)
     assert len(plan.shared) == 5 and plan.s_c_est == 0
 
 
 def test_thm41_no_snapshot_queries_always_in_plan():
     plan = choose_plan(
-        _stats(k=5, divergent=("q4",)), mode="dynamic", n_so_far=50, g_active=0, s_p_live=1, p_avg=2
+        _stats(k=5, divergent=("q4",)), n_so_far=50, g_active=0, s_p_live=1, p_avg=2
     )
     assert {"q0", "q1", "q2", "q3"} <= set(plan.shared)
 
@@ -66,8 +73,7 @@ def test_thm41_no_snapshot_queries_always_in_plan():
 def test_thm42_cheap_divergence_still_shared():
     # small graphlet, big n: snapshot cost << recomputation cost
     plan = choose_plan(
-        _stats(k=3, b=4, divergent=("q2",)), mode="dynamic",
-        n_so_far=500, g_active=0, s_p_live=1, p_avg=1,
+        _stats(k=3, b=4, divergent=("q2",)), n_so_far=500, g_active=0, s_p_live=1, p_avg=1,
     )
     assert "q2" in plan.shared
 
@@ -75,15 +81,14 @@ def test_thm42_cheap_divergence_still_shared():
 def test_thm42_expensive_divergence_excluded():
     # huge active graphlet: per-snapshot resolution dominates
     plan = choose_plan(
-        _stats(k=3, b=2, divergent=("q2",)), mode="dynamic",
-        n_so_far=4, g_active=10_000, s_p_live=1, p_avg=4,
+        _stats(k=3, b=2, divergent=("q2",)), n_so_far=4, g_active=10_000, s_p_live=1, p_avg=4,
     )
     assert "q2" not in plan.shared
 
 
 def test_edge_pred_queries_count_as_full_divergence():
     stats = _stats(k=3, b=8, edge_pred=("q1",))
-    plan = choose_plan(stats, mode="dynamic", n_so_far=4, g_active=5_000, s_p_live=1, p_avg=4)
+    plan = choose_plan(stats, n_so_far=4, g_active=5_000, s_p_live=1, p_avg=4)
     assert "q1" not in plan.shared and plan.m_snapshot_queries == 1
 
 
@@ -92,7 +97,7 @@ def test_split_when_overall_benefit_negative():
     b = 6
     mv = {f"q{i}": tuple((j + i) % 2 == 0 for j in range(b)) for i in range(4)}
     stats = BurstStats(b=b, qids=tuple(mv), match_vectors=mv, edge_pred_qids=frozenset())
-    plan = choose_plan(stats, mode="dynamic", n_so_far=2, g_active=50_000, s_p_live=40, p_avg=4)
+    plan = choose_plan(stats, n_so_far=2, g_active=50_000, s_p_live=40, p_avg=4)
     assert plan.shared == frozenset()
 
 
@@ -102,10 +107,10 @@ def test_split_when_overall_benefit_negative():
     [(1, True), (3, False)],
 )
 def test_pred_free_burst_fast_path_plan(s_p_live, share):
-    """Thm 4.1 fast path: a burst that every query matches, passed without
-    match vectors, gets the plan of the general path over explicit
-    all-true vectors, the Eq. 8 split included."""
-    kw = dict(mode="dynamic", n_so_far=10, g_active=0, s_p_live=s_p_live, p_avg=2)
+    """A burst that every query matches, passed without match vectors as
+    the executor passes a predicate-free pair's bursts, gets the plan of
+    explicit all-true vectors, the Eq. 8 split included."""
+    kw = dict(n_so_far=10, g_active=0, s_p_live=s_p_live, p_avg=2)
     qids = ("q0", "q1")
     general = BurstStats(
         b=1, qids=qids, match_vectors=dict.fromkeys(qids, (True,)), edge_pred_qids=frozenset()
@@ -120,8 +125,7 @@ def test_pred_free_burst_fast_path_plan(s_p_live, share):
 
 def test_plans_considered_is_m_plus_one():
     plan = choose_plan(
-        _stats(k=6, divergent=("q1", "q3", "q5")), mode="dynamic",
-        n_so_far=50, g_active=0, s_p_live=1, p_avg=2,
+        _stats(k=6, divergent=("q1", "q3", "q5")), n_so_far=50, g_active=0, s_p_live=1, p_avg=2,
     )
     assert plan.plans_considered == 4
 
@@ -129,8 +133,8 @@ def test_plans_considered_is_m_plus_one():
 def test_simple_model_matches_refined_direction():
     """Both Def. 11 and Def. 12 models agree sharing clean big bursts wins."""
     kw = dict(b=20, n=200, g=20, s_c=0, s_p=1, k=8)
-    assert COST.benefit(p=2, **kw) > 0
-    assert COST.benefit_simple(t=2, **kw) > 0
+    assert benefit(p=2, **kw) > 0
+    assert benefit_simple(t=2, **kw) > 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,7 +155,7 @@ def test_predicate_free_dynamic_decision_is_fixed(b, n_so_far, g_active, s_p_liv
     qids = tuple(f"q{i}" for i in range(k))
     stats = BurstStats(b=b, qids=qids, match_vectors={}, edge_pred_qids=frozenset())
     plan = choose_plan(
-        stats, mode="dynamic", n_so_far=n_so_far, g_active=g_active, s_p_live=s_p_live, p_avg=p_avg
+        stats, n_so_far=n_so_far, g_active=g_active, s_p_live=s_p_live, p_avg=p_avg
     )
     assert plan.shared == frozenset(qids)
     assert plan == fixed_plan(
@@ -163,15 +167,12 @@ def test_predicate_free_dynamic_decision_is_fixed(b, n_so_far, g_active, s_p_liv
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("divergent, edge_pred", [((), ()), (("q0",), ()), ((), ("q0",))])
 def test_static_and_nonshared_decisions_are_fixed(mode, k, divergent, edge_pred):
-    """Under 'static' and 'nonshared' no burst changes the decision: the
-    fixed plan is the one ``choose_plan`` returns for any burst."""
-    stats = _stats(k=k, divergent=divergent, edge_pred=edge_pred)
-    want = fixed_plan(
-        mode=mode, all_qids=stats.all_qids, unary_on_kleene=bool(divergent), edge_preds=bool(edge_pred)
-    )
-    for n_so_far, g_active, s_p_live in ((1, 0, 0), (500, 10_000, 40)):
-        got = choose_plan(stats, mode=mode, n_so_far=n_so_far, g_active=g_active, s_p_live=s_p_live, p_avg=3)
-        assert got == want
+    """Under 'static' and 'nonshared' no predicate changes the decision:
+    the fixed plan shares every burst among all queries (static, two or
+    more) or none (nonshared)."""
+    got = _fixed(mode, k, unary_on_kleene=bool(divergent), edge_preds=bool(edge_pred))
+    qids = frozenset(f"q{i}" for i in range(k))
+    assert got == SharingPlan(shared=qids if mode == "static" and k > 1 else frozenset())
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from repro.core.brute import brute_results
 from repro.core.events import Event
 from repro.core.greta import CNT
 from repro.core.hamlet import HamletPlan, run_hamlet_set
-from repro.core.optimizer import BurstStats, CostModel, choose_plan
+from repro.core.optimizer import BurstStats, choose_plan, nonshared_cost_simple, shared_cost_simple
 from repro.core.queries import Atom, EdgePred, Kleene, Query, seq
 
 # The running example: q1 = SEQ(A, B+), q2 = SEQ(C, B+) (Fig. 3/4/5).
@@ -102,26 +102,23 @@ def test_paper_examples_job_prints_table4(capsys):
     assert all(c[2] == c[3] for c in rows[1:] if c[0] != "Fig. 7")
 
 
-COST = CostModel()
-
-
 def test_eq9_benefit_of_sharing():
-    shared = COST.shared_cost_simple(b=4, n=7, g=4, s_c=1, s_p=1, k=2, t=2)
-    nonshared = COST.nonshared_cost_simple(b=4, n=7, k=2)
+    shared = shared_cost_simple(b=4, n=7, g=4, s_c=1, s_p=1, k=2, t=2)
+    nonshared = nonshared_cost_simple(b=4, n=7, k=2)
     assert shared == 44 and nonshared == 56
     assert nonshared - shared == 12
 
 
 def test_eq10_decision_to_split():
-    shared = COST.shared_cost_simple(b=4, n=11, g=8, s_c=1, s_p=2, k=2, t=2)
-    nonshared = COST.nonshared_cost_simple(b=4, n=11, k=2)
+    shared = shared_cost_simple(b=4, n=11, g=8, s_c=1, s_p=2, k=2, t=2)
+    nonshared = nonshared_cost_simple(b=4, n=11, k=2)
     assert shared == 120 and nonshared == 88
     assert nonshared - shared == -32
 
 
 def test_eq11_decision_to_merge():
-    shared = COST.shared_cost_simple(b=4, n=15, g=4, s_c=1, s_p=1, k=2, t=2)
-    nonshared = COST.nonshared_cost_simple(b=4, n=15, k=2)
+    shared = shared_cost_simple(b=4, n=15, g=4, s_c=1, s_p=1, k=2, t=2)
+    nonshared = nonshared_cost_simple(b=4, n=15, k=2)
     assert shared == 76 and nonshared == 120
     assert nonshared - shared == 44
 
@@ -140,7 +137,7 @@ def test_fig7_pruning_plans_considered():
         },
         edge_pred_qids=frozenset(),
     )
-    plan = choose_plan(stats, mode="dynamic", n_so_far=10, g_active=0, s_p_live=1, p_avg=2)
+    plan = choose_plan(stats, n_so_far=10, g_active=0, s_p_live=1, p_avg=2)
     assert plan.m_snapshot_queries == 2
     assert plan.plans_considered == 3  # m + 1
     # Thm 4.1: the no-snapshot queries q1, q3 always share
