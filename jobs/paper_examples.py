@@ -82,7 +82,8 @@ def main() -> None:
     stats = BurstStats(
         b=4,
         qids=("q1", "q2", "q3", "q4"),
-        match_vectors={"q2": (True, False, True, True), "q4": (False, True, True, True)},
+        # the match vectors 1011 and 0111: each misses one event
+        misses={"q2": frozenset({1}), "q4": frozenset({0})},
         edge_pred_qids=frozenset(),
     )
     plan = choose_plan(stats, n_so_far=10, g_active=0, s_p_live=1, p_avg=2)

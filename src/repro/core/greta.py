@@ -4,7 +4,9 @@ One :class:`GretaState` evaluates one query over one (group, window
 instance): every matched event is inserted into the query graph, its
 intermediate trend count (Eq. 2) is computed by iterating over its
 predecessor events, and final aggregates accumulate over end-type events
-(Eq. 3). The per-event predecessor iteration is deliberate — it is the
+(Eq. 3). A predecessor is strictly earlier (DESIGN.md §2's edge rule
+``e'.time < e.time``), so events of one timestamp never precede each
+other. The per-event predecessor iteration is deliberate — it is the
 O(n) inner loop that makes non-shared execution ``k × n²`` (Eq. 4) and
 is exactly the cost Hamlet's shared graphlets avoid.
 
@@ -145,7 +147,7 @@ class GretaState:
         for ptype in ptypes:
             for rec in self.recs.get(ptype, ()):  # THE O(n) loop (Eq. 4)
                 self.ops += 1
-                if edge_ok(self.q, tpl, rec.event, e, self.blocker_times):
+                if rec.event.time < e.time and edge_ok(self.q, tpl, rec.event, e, self.blocker_times):
                     for i, v in enumerate(rec.vals):
                         vals[i] += v
         for i, c in enumerate(self.channels, CNT + 1):

@@ -13,8 +13,10 @@ non-shared members propagate on their own totals (Eq. 2). Graphlet
 *split* and *merge* (§4.2) happen implicitly when consecutive bursts
 choose different sharer sets: the active graphlet is resolved
 (collapsed) and a new one opens with a fresh entry snapshot — the
-paper's consolidation snapshot ``z``. The open graphlet, its snapshots
-and its vectors are one ``snapshots.Graphlet``, dropped when it closes.
+paper's consolidation snapshot ``z``. A burst that drops a sharer of the
+open graphlet counts as a split, and one that adds a query to it as a
+merge. The open graphlet, its snapshots and its vectors are one
+``snapshots.Graphlet``, dropped when it closes.
 
 The set's static analysis (templates, channels, per-type tables, result
 readers) is a :class:`HamletPlan`, built once from the queries alone, and
@@ -55,22 +57,22 @@ read each position's value vector through the plan's readers
 (``greta.reader``), resolved once per plan.
 
 A burst event's unary predicates on the Kleene type are evaluated once,
-as the positions that fail them: the optimizer's match vectors and the
-cuts of the plan's cached tables read them, and the open graphlet holds
-positions only.
+as the positions that fail them: the optimizer's miss sets (each query's
+failed events, ``BurstStats.misses``) and the cuts of the plan's cached
+tables read them, and the open graphlet holds positions only.
 
 Inside a shared graphlet a burst is cut at its divergent events: those a
 sharer fails, and every event when a sharer has an edge predicate. Each
-divergent event takes an event snapshot. Each maximal run of the others,
+divergent event takes an event snapshot. Each gap between two of them,
 ``b`` uniform events, is one closed-form update of the graphlet's run
 (``Graphlet.add_run``), with counts kept exact ints. A burst that no
 sharer can diverge on (no unary predicate on ``E``, no edge-predicate
-sharer) is one such run, without a pass over its events. ``coeff_ops``
-counts the coefficient terms such an update writes, so it does not grow
-with ``b``. The closed form encodes today's tie rule:
-every event of the run counts as later than the ones before it, equal
-times included (ROADMAP item 5a; with the tie fix, ``m`` same-time events
-multiply ``R`` by ``1 + m``, not ``2^m``).
+sharer) has no cut, so it is one such run, without a pass over its
+events. ``coeff_ops`` counts the coefficient terms such an update
+writes, so it does not grow with ``b``. The closed form encodes today's
+tie rule: every event of the run counts as later than the ones before
+it, equal times included (ROADMAP item 5a; with the tie fix, ``m``
+same-time events multiply ``R`` by ``1 + m``, not ``2^m``).
 
 Correctness contract (enforced by tests): for every query the final
 aggregates equal GRETA's and the brute-force enumeration's, for any
@@ -509,8 +511,8 @@ class HamletSetEngine:
         p = self.plan
         burst, self.burst = self.burst, []
         # each event's unary predicates on E, evaluated once: the positions
-        # that fail them. Both cuts below read them, and so do the match
-        # vectors of a decision the burst can change
+        # that fail them. Both cuts below read them, and so do the miss
+        # sets of a decision the burst can change
         checks = p.kernels[p.E].checks
         if checks:
             fails = [frozenset(i for i, q in checks if not q.matches(ev)) for ev in burst]
@@ -521,7 +523,7 @@ class HamletSetEngine:
         if decision is None:
             stats = BurstStats(
                 b=len(burst), qids=p.qids, edge_pred_qids=p.edge_pred_qids,
-                match_vectors={q.qid: tuple(i not in f for f in fails) for i, q in checks},
+                misses={q.qid: frozenset(j for j, f in enumerate(fails) if i in f) for i, q in checks},
             )
             decision = choose_plan(
                 stats, n_so_far=self.n_so_far, g_active=gr.g if gr else 0,
@@ -534,11 +536,12 @@ class HamletSetEngine:
         if decision.shared:
             self.m.shared_bursts += 1
         if decision.shared != cur:
-            if cur:
-                self.m.splits += 1  # resolve current sharers (split/collapse)
+            # §4.2: a split drops a sharer of the open graphlet, a merge adds
+            # one to it
+            self.m.splits += bool(cur - decision.shared)
+            self.m.merges += bool(cur and decision.shared - cur)
             self._close_graphlet()
             if len(decision.shared) >= 2:
-                self.m.merges += 1 if cur else 0
                 self._open_shared(decision.shared)
         # E's kernel tables at the sharers' positions (without and with
         # stored records) and at the non-sharers', once per burst; each
@@ -549,24 +552,20 @@ class HamletSetEngine:
             out = gr.out
             plain, recd = p.e_plain.without(out), p.e_recd.without(out)
             rest = rest.without(p.e_open.without(out).idx) if out else None
-            # an event that a sharer fails, or any event when a sharer has
-            # an edge predicate, diverges and takes an event snapshot; each
-            # maximal run of the others is one closed-form update, and
-            # with neither (no unary predicate on E, no edge-predicate
-            # sharer) the whole burst is one
-            if not checks and not recd.idx:
-                self._uniform_run(burst)
+            # the divergent events take event snapshots: every event when a
+            # sharer has an edge predicate, else those a sharer fails (none
+            # without a unary predicate on E); each gap between two is one
+            # closed-form update
+            if recd.idx:
+                cut = range(len(burst))
             else:
-                uniform: list[Event] = []
-                for ev, failed in zip(burst, fails):
-                    failed = failed - out
-                    if failed or recd.idx:
-                        self._uniform_run(uniform)
-                        uniform = []
-                        self._event_snapshot(ev, plain, recd, failed)
-                    else:
-                        uniform.append(ev)
-                self._uniform_run(uniform)
+                cut = [j for j, f in enumerate(fails) if not f <= out] if checks else ()
+            start = 0
+            for j in cut:
+                self._uniform_run(burst[start:j])
+                self._event_snapshot(burst[j], plain, recd, fails[j] - out)
+                start = j + 1
+            self._uniform_run(burst[start:])
         if rest is not None:
             # the non-sharers, each on its own totals (Eq. 2)
             for ev, failed in zip(burst, fails):

@@ -17,6 +17,10 @@ refined form with ``log2(g)`` insertion cost and predecessor-type factor
   is below its re-computation cost, so only the m+1 Level-1/2 plans of
   the Fig. 7 lattice are ever evaluated; Eq. 8 then decides whether the
   chosen set shares the burst.
+
+Both theorems read a burst as each query's missed events, one set of
+burst indexes (the complement of the paper's match bit vector): the same
+per-event failures at which the executor cuts the shared graphlet.
 """
 from __future__ import annotations
 
@@ -58,17 +62,16 @@ def benefit_simple(*, b: float, n: float, g: float, s_c: float, s_p: float, k: f
 @dataclass
 class BurstStats:
     """Statistics of one complete burst, gathered by the executor before
-    deciding (Definition 10/11): per-query match bit-vectors over the
-    burst plus which queries carry Kleene edge predicates (those diverge
-    on every event — Definition 9, so their vectors are never read). A
-    query absent from ``match_vectors`` matches every event of the burst:
-    Hamlet builds vectors only for the queries with a unary predicate on
-    the Kleene type, from the same per-event predicate failures its burst
-    execution reads."""
+    deciding (Definitions 9–11): per query, the indexes of the burst events
+    it fails, plus which queries carry Kleene edge predicates (those
+    diverge on every event — Definition 9, so their miss sets are never
+    read). A query absent from ``misses`` fails none: Hamlet builds miss
+    sets only for the queries with a unary predicate on the Kleene type,
+    from the same per-event predicate failures its burst execution reads."""
 
     b: int
     qids: tuple  # every member query, sorted
-    match_vectors: Mapping[str, tuple]  # qid -> tuple[bool, ...] length b
+    misses: Mapping[str, frozenset]  # qid -> indexes in range(b) it fails
     edge_pred_qids: frozenset
 
 
@@ -83,33 +86,22 @@ class SharingPlan:
 
 
 def _divergent_events(stats: BurstStats) -> dict[str, int]:
-    """Per query: number of burst events where its match vector differs from
-    the reference vector (each such event forces an event-level snapshot).
+    """Per query: the number of burst events where it diverges from the
+    reference (each such event forces an event-level snapshot).
 
-    The reference is the majority vector among the queries without edge
-    predicates; queries matching it introduce no snapshots (Thm 4.1). A
-    vector that matches every event is ``None`` here, so that no all-true
-    vector of length ``b`` is built or hashed; it differs from another
-    vector where that one misses."""
-    vecs = {}
-    for qid in stats.qids:
-        mv = stats.match_vectors.get(qid)
-        vecs[qid] = mv if mv is not None and False in mv else None
-    vec_counts = Counter(
-        mv for qid, mv in vecs.items() if qid not in stats.edge_pred_qids
-    )
-    reference = vec_counts.most_common(1)[0][0] if vec_counts else None
-    out = {}
-    for qid, mv in vecs.items():
-        if qid in stats.edge_pred_qids:
-            out[qid] = stats.b  # edge predicates diverge on every event
-        elif mv == reference:
-            out[qid] = 0
-        elif mv is None or reference is None:
-            out[qid] = (mv or reference).count(False)
-        else:
-            out[qid] = sum(1 for a, r in zip(mv, reference) if a != r)
-    return out
+    The reference is the most common miss set among the queries without
+    edge predicates, the first in ``qids`` order on a tie; queries that
+    miss exactly its events introduce no snapshots (Thm 4.1). A query
+    diverges on the events that it or the reference misses, but not both
+    (the Hamming distance of the paper's bit vectors), and on every event
+    under an edge predicate."""
+    misses = {qid: stats.misses.get(qid, frozenset()) for qid in stats.qids}
+    common = Counter(m for qid, m in misses.items() if qid not in stats.edge_pred_qids)
+    reference = common.most_common(1)[0][0] if common else frozenset()
+    return {
+        qid: stats.b if qid in stats.edge_pred_qids else len(m ^ reference)
+        for qid, m in misses.items()
+    }
 
 
 def fixed_plan(
@@ -125,7 +117,7 @@ def fixed_plan(
     among all queries and 'nonshared' (the GRETA path) none; neither reads
     the burst. A single query shares with no one. Under 'dynamic' the
     decision is fixed when ``k >= 3`` queries have neither kind of
-    predicate: by Thm 4.1 every query shares (no match vector to build, no
+    predicate: by Thm 4.1 every query shares (no miss set to build, no
     snapshot, ``s_c = 0``), and since such a graphlet's run references only
     its entry and ONE (``s_p <= 2``), Eq. 8's benefit is
     ``b·((k - 1)·log2 g + n·(k - s_p)) >= b·n > 0``. With ``k = 2`` and

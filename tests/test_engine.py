@@ -241,9 +241,9 @@ _TIE_DEFECT = pytest.mark.xfail(
     "system",
     [
         pytest.param(s, marks=_TIE_DEFECT)
-        for s in ("greta", "hamlet", "hamlet-static", "hamlet-nonshared", "sharon")
+        for s in ("hamlet", "hamlet-static", "hamlet-nonshared", "sharon")
     ]
-    + ["mcep"],
+    + ["greta", "mcep"],
 )
 def test_equal_timestamps_match_brute(system):
     """SEQ(A, B+) over A(0), B(1), B(1): the two B's are not ordered, so
@@ -257,3 +257,26 @@ def test_equal_timestamps_match_brute(system):
     want = brute_results(events, qs[0])["COUNT(*)"]
     assert want == 2.0
     assert run_system(events, qs, system).results[("q", 0.0)]["COUNT(*)"] == want
+
+
+_SUM_AVG = (AggSpec("COUNT_STAR"), AggSpec("SUM", "B", "v"), AggSpec("AVG", "B", "v"))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=OverflowError,
+    reason="known defect, ROADMAP item 5a(ii): a count beyond double range "
+    "is converted to float",
+)
+@pytest.mark.parametrize("aggs", [(AggSpec("COUNT_STAR"),), _SUM_AVG], ids=["count", "count-sum-avg"])
+@pytest.mark.parametrize("system", ["greta", "hamlet", "hamlet-static", "hamlet-nonshared"])
+def test_counts_beyond_double_range(system, aggs):
+    """SEQ(A, B+) over one A and 1,100 B's has 2^1100 - 1 trends, more
+    than a double holds. The second query makes hamlet and hamlet-static
+    share the burst."""
+    events = [_ev(0.0, "A")] + [_ev(1.0 + i, "B", 1.0) for i in range(1100)]
+    qs = [
+        Query(qid=qid, elems=seq(Atom(start), Kleene("B")), aggs=aggs, window=2000.0, slide=2000.0)
+        for qid, start in (("q", "A"), ("c", "C"))
+    ]
+    run_system(events, qs, system)

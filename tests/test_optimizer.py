@@ -4,20 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.optimizer import (
-    BurstStats, SharingPlan, benefit, benefit_simple, choose_plan, fixed_plan,
+    BurstStats, SharingPlan, _divergent_events, benefit, benefit_simple, choose_plan, fixed_plan,
 )
 
 
 def _stats(k=4, b=6, divergent=(), edge_pred=()):
-    mv = {}
-    for i in range(k):
-        qid = f"q{i}"
-        if qid in divergent:
-            vec = tuple(j != 0 for j in range(b))  # first event mismatches
-        else:
-            vec = (True,) * b
-        mv[qid] = vec
-    return BurstStats(b=b, qids=tuple(mv), match_vectors=mv, edge_pred_qids=frozenset(edge_pred))
+    qids = tuple(f"q{i}" for i in range(k))
+    # a divergent query fails the first event
+    misses = {qid: frozenset({0}) if qid in divergent else frozenset() for qid in qids}
+    return BurstStats(b=b, qids=qids, misses=misses, edge_pred_qids=frozenset(edge_pred))
 
 
 def test_benefit_grows_with_k():
@@ -95,8 +90,8 @@ def test_edge_pred_queries_count_as_full_divergence():
 def test_split_when_overall_benefit_negative():
     # every query diverges on most events -> sharing cannot pay off
     b = 6
-    mv = {f"q{i}": tuple((j + i) % 2 == 0 for j in range(b)) for i in range(4)}
-    stats = BurstStats(b=b, qids=tuple(mv), match_vectors=mv, edge_pred_qids=frozenset())
+    misses = {f"q{i}": frozenset(j for j in range(b) if (j + i) % 2) for i in range(4)}
+    stats = BurstStats(b=b, qids=tuple(misses), misses=misses, edge_pred_qids=frozenset())
     plan = choose_plan(stats, n_so_far=2, g_active=50_000, s_p_live=40, p_avg=4)
     assert plan.shared == frozenset()
 
@@ -107,15 +102,15 @@ def test_split_when_overall_benefit_negative():
     [(1, True), (3, False)],
 )
 def test_pred_free_burst_fast_path_plan(s_p_live, share):
-    """A burst that every query matches, passed without match vectors as
-    the executor passes a predicate-free pair's bursts, gets the plan of
-    explicit all-true vectors, the Eq. 8 split included."""
+    """A burst that every query matches, passed without miss sets as the
+    executor passes a predicate-free pair's bursts, gets the plan of
+    explicit empty miss sets, the Eq. 8 split included."""
     kw = dict(n_so_far=10, g_active=0, s_p_live=s_p_live, p_avg=2)
     qids = ("q0", "q1")
     general = BurstStats(
-        b=1, qids=qids, match_vectors=dict.fromkeys(qids, (True,)), edge_pred_qids=frozenset()
+        b=1, qids=qids, misses=dict.fromkeys(qids, frozenset()), edge_pred_qids=frozenset()
     )
-    fast = BurstStats(b=1, qids=qids, match_vectors={}, edge_pred_qids=frozenset())
+    fast = BurstStats(b=1, qids=qids, misses={}, edge_pred_qids=frozenset())
     plan = choose_plan(fast, **kw)
     assert plan == choose_plan(general, **kw)
     assert plan == SharingPlan(
@@ -148,12 +143,12 @@ def test_simple_model_matches_refined_direction():
 )
 def test_predicate_free_dynamic_decision_is_fixed(b, n_so_far, g_active, s_p_live, p_avg, k):
     """The decision a Hamlet plan takes once instead of per burst: with
-    k >= 3 queries, no match vector and no edge predicate, and a live
+    k >= 3 queries, no miss set and no edge predicate, and a live
     graphlet that references at most its entry and ONE (s_p <= 2), every
     burst is shared by every query (Thm 4.1, Eq. 8's benefit >= b·n > 0).
     A refit of Eq. 8 that makes such a burst split fails here."""
     qids = tuple(f"q{i}" for i in range(k))
-    stats = BurstStats(b=b, qids=qids, match_vectors={}, edge_pred_qids=frozenset())
+    stats = BurstStats(b=b, qids=qids, misses={}, edge_pred_qids=frozenset())
     plan = choose_plan(
         stats, n_so_far=n_so_far, g_active=g_active, s_p_live=s_p_live, p_avg=p_avg
     )
@@ -186,3 +181,39 @@ def test_dynamic_decision_varies_with_predicates_or_a_pair(k, unary_on_kleene, e
     assert fixed_plan(
         mode="dynamic", all_qids=qids, unary_on_kleene=unary_on_kleene, edge_preds=edge_preds
     ) is None
+
+
+def _divergence_over_bit_vectors(stats: BurstStats) -> dict:
+    """Thm 4.1 as the paper states it: each query's match bit vector over
+    the burst, the majority vector among the queries without edge
+    predicates (the first in ``qids`` order on a tie), and each query's
+    Hamming distance to it; ``b`` for an edge-predicate query."""
+    vecs = {
+        qid: tuple(j not in stats.misses.get(qid, ()) for j in range(stats.b)) for qid in stats.qids
+    }
+    plain = [vecs[qid] for qid in stats.qids if qid not in stats.edge_pred_qids]
+    majority = max(plain, key=plain.count, default=None)
+    return {
+        qid: stats.b if qid in stats.edge_pred_qids else sum(x != y for x, y in zip(vec, majority))
+        for qid, vec in vecs.items()
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 12), b=st.integers(1, 12))
+def test_divergence_is_hamming_distance_to_majority_vector(data, k, b):
+    """``_divergent_events`` over miss sets equals the bit-vector statement
+    of Thm 4.1, ties, queries without an entry in ``misses`` and
+    edge-predicate queries included."""
+    qids = tuple(f"q{i}" for i in range(k))
+    some_misses = st.frozensets(st.integers(0, b - 1))
+    # a few shared miss sets, so that majorities and ties occur
+    pool = data.draw(st.lists(some_misses, min_size=1, max_size=3))
+    misses = {}
+    for qid in qids:
+        m = data.draw(st.none() | st.sampled_from(pool) | some_misses)
+        if m is not None:
+            misses[qid] = m
+    edge = data.draw(st.frozensets(st.sampled_from(qids)))
+    stats = BurstStats(b=b, qids=qids, misses=misses, edge_pred_qids=edge)
+    assert _divergent_events(stats) == _divergence_over_bit_vectors(stats)

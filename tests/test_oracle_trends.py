@@ -81,3 +81,21 @@ def test_oracle_hugeint_counts():
     sql = trend_count_sql(prefix_type="R", kleene_type="T", window=100.0)
     got = duckdb.connect().execute(sql.replace("events", "pdf")).fetchdf()
     assert got["value"].iloc[0] == float(2**40 - 1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect, ROADMAP item 5a(i): the recurrence chains Kleene "
+    "events by ROW_NUMBER(), so a same-time event counts as a predecessor",
+)
+def test_oracle_equal_timestamps_match_brute():
+    """R(0), T(1), T(1): the two T's are not ordered, so brute force counts
+    2 trends."""
+    rows = [dict(time=t, etype=et, gkey=0, v=0.0, w=0.0) for t, et in ((0.0, "R"), (1.0, "T"), (1.0, "T"))]
+    pdf = pd.DataFrame(rows)
+    q = Query(qid="q", elems=seq(Atom("R"), Kleene("T")), window=10.0, slide=10.0)
+    want = _brute_per_group_window(pdf, q, 10.0)
+    assert want == {(0, 0.0): 2.0}
+    sql = trend_count_sql(prefix_type="R", kleene_type="T", window=10.0)
+    got = duckdb.connect().execute(sql.replace("events", "pdf")).fetchdf()
+    assert {(int(r.gkey), r.window_start): r.value for r in got.itertuples()} == want

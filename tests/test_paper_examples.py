@@ -129,12 +129,8 @@ def test_fig7_pruning_plans_considered():
     stats = BurstStats(
         b=4,
         qids=("q1", "q2", "q3", "q4"),
-        match_vectors={
-            "q1": (True,) * 4,
-            "q2": (True, False, True, True),
-            "q3": (True,) * 4,
-            "q4": (False, True, True, True),
-        },
+        # Fig. 7's match vectors 1111, 1011, 1111 and 0111 as miss sets
+        misses={"q1": frozenset(), "q2": frozenset({1}), "q3": frozenset(), "q4": frozenset({0})},
         edge_pred_qids=frozenset(),
     )
     plan = choose_plan(stats, n_so_far=10, g_active=0, s_p_live=1, p_avg=2)
