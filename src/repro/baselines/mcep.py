@@ -15,8 +15,9 @@ latency is *modelled* as (measured seconds/trend × the largest exact
 per-query trend count from the GRETA DP — a lower bound on the shared
 enumeration size), carried as ``BufferedEngine.modelled_s`` and flagged
 in ``RunResult.modelled``. Aggregates are then computed exactly by the
-per-query DP, so correctness tests hold at any scale. See DESIGN.md
-substitutions.
+per-query DP, the GRETA states of the plan's :class:`GretaPlan`, whose
+templates the construction reads too, so correctness tests hold at any
+scale. See DESIGN.md substitutions.
 """
 from __future__ import annotations
 
@@ -24,19 +25,18 @@ import time
 from typing import Optional, Sequence
 
 from ..core.events import Event
-from ..core.greta import GretaState
 from ..core.hamlet import Metrics
 from ..core.queries import Query
-from ..core.template import build_template, edge_ok, end_ok
-from . import BufferedEngine
+from ..core.template import Template, edge_ok, end_ok
+from . import BufferedEngine, GretaPlan
 
 
 class _QueryCtx:
     """Per-query match/edge validation over one window instance."""
 
-    def __init__(self, q: Query, events: Sequence[Event]):
+    def __init__(self, q: Query, tpl: Template, events: Sequence[Event]):
         self.q = q
-        self.tpl = build_template(q)
+        self.tpl = tpl
         self.blockers = {
             n: [e.time for e in events if e.etype == n and q.matches(e)]
             for n in self.tpl.neg_types
@@ -67,16 +67,17 @@ class McepPlan:
                 if a.fn != "COUNT_STAR":
                     raise ValueError("MCEP reproduction evaluates COUNT(*) workloads")
         self.max_trends = max_trends
+        self.greta = GretaPlan(self.qs)  # templates, and the exact counts past the budget
 
     def new_engine(self) -> BufferedEngine:
         return BufferedEngine(self)
 
     def evaluate(self, evs: Sequence[Event]) -> tuple[dict, Metrics, Optional[float]]:
-        """Each query's count, the counters, and the modelled latency of a
-        window past the trend budget (else ``None``)."""
+        """Each query's COUNT(*), the counters, and the modelled latency of
+        a window past the trend budget (else ``None``)."""
         t0 = time.perf_counter()
         qs, max_trends, modelled_s = self.qs, self.max_trends, None
-        ctxs = [_QueryCtx(q, evs) for q in qs]
+        ctxs = [_QueryCtx(q, self.greta.tpls[q.qid], evs) for q in qs]
         nodes = [e for e in evs if any(c.node_ok(e) for c in ctxs)]
         counts = {q.qid: 0 for q in qs}
         enumerated = 0
@@ -122,14 +123,9 @@ class McepPlan:
             # cost and the exact trend counts (per-query DP); the max
             # per-query count lower-bounds the shared enumeration size.
             per_trend = (time.perf_counter() - t0) / max(enumerated, 1)
-            exact = {}
-            for q in qs:
-                st = GretaState(q)
-                for e in evs:
-                    st.on_event(e)
-                exact[q.qid] = st.exact_count()
+            exact = {st.q.qid: st.exact_count() for st in self.greta.states(evs)}
             modelled_s = per_trend * float(max(exact.values(), default=0))
             counts = exact
         m = Metrics(events=len(evs), stored_events=len(nodes), ops=enumerated)
         m.peak_mem_bytes = len(nodes) * 32 + 64  # shared graph + trend buffer
-        return counts, m, modelled_s
+        return {qid: {"COUNT(*)": float(n)} for qid, n in counts.items()}, m, modelled_s

@@ -12,10 +12,14 @@ workloads. Sharing = identical flattened patterns are computed once.
 Correctness: with skip-till-any-match semantics the number of matches of
 the flattened length-j pattern equals the number of trends with j Kleene
 events, so the sum over j equals the trend count exactly (tested against
-brute force / GRETA).
+brute force / GRETA). Events of one timestamp are not ordered (DESIGN.md
+§2's edge rule ``e'.time < e.time``): each extends only the matches
+before their time.
 """
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ..core.events import Event
@@ -67,7 +71,7 @@ class SharonPlan:
         return BufferedEngine(self)
 
     def evaluate(self, evs: Sequence[Event]) -> tuple[dict, Metrics, None]:
-        """Each query's count, the counters, and no modelled latency."""
+        """Each query's COUNT(*), the counters, and no modelled latency."""
         qs = self.qs
         # bound l by the number of Kleene-type events in this window
         # (SHARON would need a compile-time estimate at least this big
@@ -92,20 +96,25 @@ class SharonPlan:
                 owners[key].append(q.qid)
         ops = 0
         q_by_id = {q.qid: q for q in qs}
-        for e in evs:
+        for _, tied in groupby(evs, key=attrgetter("time")):
+            tied = list(tied)
             for (owner, steps), arr in per_pattern.items():
-                # predicate context: shared patterns ('' owner) come from
-                # queries without predicates and match every event; owned
-                # patterns use their query's where, once per (event, pattern)
-                matched = not owner or q_by_id[owner].matches(e)
-                for j in range(len(steps), 0, -1):
-                    ops += 1
-                    if matched and steps[j - 1] == e.etype:
-                        arr[j] += arr[j - 1]
+                # events of one time extend only strictly earlier matches, so
+                # two or more read the counters as they were before them
+                prior = arr[:] if len(tied) > 1 else arr
+                for e in tied:
+                    # predicate context: shared patterns ('' owner) come from
+                    # queries without predicates and match every event; owned
+                    # patterns use their query's where, once per (event, pattern)
+                    matched = not owner or q_by_id[owner].matches(e)
+                    for j in range(len(steps), 0, -1):
+                        ops += 1
+                        if matched and steps[j - 1] == e.etype:
+                            arr[j] += prior[j - 1]
         counts = {q.qid: 0 for q in qs}
         for key, arr in per_pattern.items():
             for qid in set(owners[key]):
                 counts[qid] += arr[-1]
         m = Metrics(events=len(evs), ops=ops)
         m.peak_mem_bytes = sum(len(v) for v in per_pattern.values()) * 8
-        return counts, m, None
+        return {qid: {"COUNT(*)": float(n)} for qid, n in counts.items()}, m, None

@@ -7,16 +7,17 @@ system:
 - ``hamlet``            — sharable sets + dynamic per-burst optimizer (§4)
 - ``hamlet-static``     — sharable sets, compile-time always-share (§6.2)
 - ``hamlet-nonshared``  — Hamlet executor, sharing disabled
-- ``greta``             — the non-shared GRETA baseline (§3.2, Eq. 4 loop)
-- ``sharon`` / ``mcep`` — baselines (repro.baselines)
+- ``greta`` / ``sharon`` / ``mcep`` — the baselines (repro.baselines):
+  non-shared GRETA (§3.2, Eq. 4 loop), SHARON and MCEP
 
 ``window_executors`` is the one map from a system to the engines that
 evaluate a window instance: it builds each entry's static plan once per
 workload (the same ``Query`` objects get the same plans back, call after
 call), and ``run_system`` and the Spark streaming operator both drive the
 plans' engines, the same way for all six systems. Under the three Hamlet
-systems every query runs on a ``HamletPlan`` (one per sharable set);
-``GretaPlan`` serves ``greta`` only.
+systems every query runs on a ``HamletPlan`` (one per sharable set); a
+baseline has one plan per (window, slide) signature, whose engine buffers
+a window instance and evaluates it whole.
 
 Windows: each (window, slide) signature is evaluated per window
 *instance* (DESIGN.md substitution: cross-window pane sharing is prior
@@ -33,13 +34,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..baselines import GretaPlan
 from ..baselines.mcep import McepPlan
 from ..baselines.sharon import SharonPlan
 from .events import Event
-from .greta import GretaState
 from .hamlet import HamletPlan, Metrics
 from .queries import Query
-from .template import build_template, sharable_sets
+from .template import sharable_sets
 
 
 @dataclass
@@ -103,48 +104,6 @@ def window_instances(events: Sequence[Event], window: float, slide: float):
         hi = bisect_left(times, start + window, lo)
         if hi > lo:
             yield start, events[lo:hi]
-
-
-class GretaPlan:
-    """The static part of a non-shared GRETA entry: its queries and their
-    templates, shared by the engines of every window instance."""
-
-    def __init__(self, queries: Sequence[Query]):
-        self.qs = tuple(queries)
-        self.tpls = {q.qid: build_template(q) for q in self.qs}
-
-    def new_engine(self) -> "GretaSetEngine":
-        """A fresh engine for one window instance of these queries."""
-        return GretaSetEngine(self)
-
-
-class GretaSetEngine:
-    """Non-shared GRETA (§3.2) over one window instance of a query set.
-
-    Eq. 4 prices non-shared execution as k independent per-query graphs;
-    this engine holds exactly those (one :class:`GretaState` per query of
-    its :class:`GretaPlan`) behind the :class:`HamletSetEngine` interface.
-    Each event is offered to every query, so ``m.events`` counts ``k`` per
-    event, and peak memory is the k concurrently-live graphs (each query
-    replicates its matched events)."""
-
-    def __init__(self, plan: GretaPlan):
-        self.plan = plan
-        self.states = [GretaState(q, plan.tpls[q.qid]) for q in plan.qs]
-        self.m = Metrics()
-
-    def on_event(self, e: Event) -> None:
-        self.m.events += len(self.states)
-        for st in self.states:
-            st.on_event(e)
-
-    def end_window(self) -> None:
-        self.m.stored_events = sum(st.n_stored for st in self.states)
-        self.m.ops = sum(st.ops for st in self.states)
-        self.m.peak_mem_bytes = self.m.stored_events * 32
-
-    def results(self) -> dict[str, dict[str, float]]:
-        return {st.q.qid: st.results() for st in self.states}
 
 
 _MODES = {"hamlet": "dynamic", "hamlet-static": "static", "hamlet-nonshared": "nonshared"}

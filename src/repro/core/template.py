@@ -11,7 +11,8 @@ predecessor edge per transition, labelled with the positions that take
 it. Workload analysis splits a workload into sharable sets (Definition 5),
 one query tuple each, a query that shares with no other being a set of
 one; ``pane_size`` is the gcd of windows and slides. A plan derives its
-Kleene type and pane from its set's queries.
+Kleene type and pane from its set's queries, and builds their templates
+once per workload.
 """
 from __future__ import annotations
 
@@ -55,13 +56,10 @@ def build_template(q: Query) -> Template:
     transition as blocked by the negated type; ``GroupKleene`` adds the
     §5 back-loop from its inner end types to its inner start types.
 
-    The result is memoized on the Query instance (templates are pure
-    functions of the pattern; engines are built once per window
-    instance, so this keeps setup cost out of the latency metric).
+    A ``ValueError`` naming the query rejects a negation that would guard
+    no transition: one first in a sequence or a group, one right after
+    another, and one last in a group.
     """
-    cached = q.__dict__.get("_tpl_cache")
-    if cached is not None:
-        return cached
     pt: dict[str, set[PtEdge]] = {}
     types: set[str] = set()
     neg_types: set[str] = set()
@@ -75,8 +73,10 @@ def build_template(q: Query) -> Template:
     def walk(elems: Sequence, prev_ends: set[str], blocker: Optional[str], first: bool):
         """Returns (prev_ends, blocker, first) after consuming ``elems``."""
         nonlocal trailing_neg
-        for el in elems:
+        for i, el in enumerate(elems):
             if isinstance(el, Neg):
+                if i == 0 or isinstance(elems[i - 1], Neg):
+                    raise ValueError(f"{q.qid}: NOT {el.etype} must follow a positive element")
                 types.add(el.etype)
                 neg_types.add(el.etype)
                 blocker = el.etype
@@ -98,6 +98,8 @@ def build_template(q: Query) -> Template:
                 blocker = None
             elif isinstance(el, GroupKleene):
                 inner_first_types = _first_positive_types(el.elems)
+                if isinstance(el.elems[-1], Neg):
+                    raise ValueError(f"{q.qid}: NOT {el.elems[-1].etype} cannot end a Kleene group")
                 if first:
                     start.update(inner_first_types)
                     first = False
@@ -118,7 +120,7 @@ def build_template(q: Query) -> Template:
     prev_ends, _, first = walk(q.elems, set(), None, True)
     if first:
         raise ValueError(f"pattern of {q.qid} has no positive element")
-    tpl = Template(
+    return Template(
         types=frozenset(types),
         start=frozenset(start),
         end=frozenset(prev_ends),
@@ -127,8 +129,6 @@ def build_template(q: Query) -> Template:
         neg_types=frozenset(neg_types),
         trailing_neg=trailing_neg,
     )
-    q.__dict__["_tpl_cache"] = tpl
-    return tpl
 
 
 def edge_ok(

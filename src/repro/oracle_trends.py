@@ -2,11 +2,13 @@
 
 Builds a recursive-CTE query that counts event trends for patterns of
 the family ``SEQ(P, K+)`` / ``SEQ(P, K+, S)`` over tumbling windows,
-entirely inside DuckDB: the per-window count of trends ending at the
-i-th Kleene event obeys ``cnt_i = a_i + Σ_{j<i} cnt_j`` (``a_i`` =
-prefix events before it), which the CTE evaluates as the linear
-recurrence ``cnt_i = a_i + cum_{i-1}``, ``cum_i = a_i + 2·cum_{i-1}``
-in HUGEINT. Used with ``repro.oracle.assert_equivalent`` so Spark
+entirely inside DuckDB: in a window, a Kleene event at the i-th distinct
+Kleene time ends ``a_i + Σ_{j<i} cnt_j`` trends (``a_i`` = prefix events
+before it, ``cnt_j`` = trends ending at the ``m_j`` Kleene events of the
+j-th time), since events of one time never precede each other (DESIGN.md
+§2's edge rule ``e'.time < e.time``). The CTE evaluates the linear
+recurrence ``cnt_i = m_i·(a_i + cum_{i-1})``, ``cum_i = cum_{i-1} +
+cnt_i`` in HUGEINT. Used with ``repro.oracle.assert_equivalent`` so Spark
 results are validated against a different engine via a different
 algorithm (path counting in SQL vs online propagation in Python).
 
@@ -48,22 +50,23 @@ WITH RECURSIVE ev AS (
   FROM {table}
 ),
 b AS (
-  SELECT e.gkey, e.win, e.time,
+  SELECT e.gkey, e.win, e.time, COUNT(*) AS m,
          ROW_NUMBER() OVER (PARTITION BY e.gkey, e.win ORDER BY e.time) AS rn
   FROM ev e WHERE e.etype = '{kleene_type}'{kk}
+  GROUP BY e.gkey, e.win, e.time
 ),
 a AS (
-  SELECT b.gkey, b.win, b.rn, b.time,
+  SELECT b.gkey, b.win, b.rn, b.time, CAST(b.m AS HUGEINT) AS m,
          (SELECT COUNT(*) FROM ev p
            WHERE p.etype = '{prefix_type}'{pk}
              AND p.gkey = b.gkey AND p.win = b.win AND p.time < b.time) AS ac
   FROM b
 ),
 dp AS (
-  SELECT gkey, win, rn, CAST(ac AS HUGEINT) AS cnt, CAST(ac AS HUGEINT) AS cum
+  SELECT gkey, win, rn, m * ac AS cnt, m * ac AS cum
   FROM a WHERE rn = 1
   UNION ALL
-  SELECT a.gkey, a.win, a.rn, a.ac + d.cum, a.ac + 2 * d.cum
+  SELECT a.gkey, a.win, a.rn, a.m * (a.ac + d.cum), d.cum + a.m * (a.ac + d.cum)
   FROM dp d JOIN a ON a.gkey = d.gkey AND a.win = d.win AND a.rn = d.rn + 1
 )"""
     if suffix_type is None:

@@ -61,17 +61,10 @@ STATE_SCHEMA = StructType([StructField("blob", BinaryType())])
 
 
 def _static_objects(plans) -> dict:
-    """Token -> object for each executor plan and for the queries and
-    templates the plans hold: everything an engine references that is the
-    same for every key and every window."""
-    objs: dict[tuple, object] = {}
-    for i, plan in enumerate(plans):
-        objs[("plan", i)] = plan
-        for q in plan.qs:
-            objs[("query", q.qid)] = q
-        for qid, tpl in getattr(plan, "tpls", {}).items():
-            objs[("template", qid)] = tpl
-    return objs
+    """Token -> object for each executor plan: everything an engine
+    references that is the same for every key and every window (the
+    queries and templates an engine reads, it reads through its plan)."""
+    return {("plan", i): plan for i, plan in enumerate(plans)}
 
 
 def _dump_state(st: dict, static: dict) -> bytes:
@@ -103,8 +96,10 @@ def make_stateful_func(workload: Sequence[Query], system: str, window: float):
     emitted window id, and drops any later event at or before it.
 
     The state blob holds the engines' runtime state only: each executor
-    plan, query and template an engine references is written as a small
-    token and re-attached, on reading, to this closure's own copy.
+    plan an engine references is written as a small token and re-attached,
+    on reading, to this closure's own copy. A baseline's engine holds its
+    window's buffered events, and a Hamlet engine its columns, open
+    graphlet and burst.
     """
     workload = list(workload)
     for q in workload:

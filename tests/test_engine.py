@@ -241,9 +241,9 @@ _TIE_DEFECT = pytest.mark.xfail(
     "system",
     [
         pytest.param(s, marks=_TIE_DEFECT)
-        for s in ("hamlet", "hamlet-static", "hamlet-nonshared", "sharon")
+        for s in ("hamlet", "hamlet-static", "hamlet-nonshared")
     ]
-    + ["greta", "mcep"],
+    + ["greta", "sharon", "mcep"],
 )
 def test_equal_timestamps_match_brute(system):
     """SEQ(A, B+) over A(0), B(1), B(1): the two B's are not ordered, so

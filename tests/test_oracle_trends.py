@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 
 from repro.core.brute import brute_results
+from repro.core.engine import run_system
 from repro.core.events import Event
 from repro.core.queries import Atom, Kleene, Pred, Query, seq
 from repro.oracle_trends import trend_count_sql
@@ -83,19 +84,40 @@ def test_oracle_hugeint_counts():
     assert got["value"].iloc[0] == float(2**40 - 1)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect, ROADMAP item 5a(i): the recurrence chains Kleene "
-    "events by ROW_NUMBER(), so a same-time event counts as a predecessor",
-)
-def test_oracle_equal_timestamps_match_brute():
-    """R(0), T(1), T(1): the two T's are not ordered, so brute force counts
-    2 trends."""
-    rows = [dict(time=t, etype=et, gkey=0, v=0.0, w=0.0) for t, et in ((0.0, "R"), (1.0, "T"), (1.0, "T"))]
-    pdf = pd.DataFrame(rows)
-    q = Query(qid="q", elems=seq(Atom("R"), Kleene("T")), window=10.0, slide=10.0)
+@pytest.mark.parametrize("suffix", [None, "S"])
+def test_oracle_equal_timestamps_match_brute(suffix):
+    """R(0), T(1), T(1) [, S(2)]: the two T's are not ordered, so brute
+    force counts 2 trends."""
+    probe = ((0.0, "R"), (1.0, "T"), (1.0, "T")) + (((2.0, suffix),) if suffix else ())
+    pdf = pd.DataFrame([dict(time=t, etype=et, gkey=0, v=0.0, w=0.0) for t, et in probe])
+    q = Query(qid="q", elems=seq(Atom("R"), Kleene("T"), *([Atom(suffix)] if suffix else [])),
+              window=10.0, slide=10.0)
     want = _brute_per_group_window(pdf, q, 10.0)
     assert want == {(0, 0.0): 2.0}
-    sql = trend_count_sql(prefix_type="R", kleene_type="T", window=10.0)
+    sql = trend_count_sql(prefix_type="R", kleene_type="T", suffix_type=suffix, window=10.0)
     got = duckdb.connect().execute(sql.replace("events", "pdf")).fetchdf()
     assert {(int(r.gkey), r.window_start): r.value for r in got.itertuples()} == want
+
+
+@pytest.mark.parametrize("suffix", [None, "S"])
+def test_equal_timestamps_seeded_match_brute(suffix):
+    """60 seeded streams of 12 events at whole seconds 0-5, so most Kleene
+    events share their time with another: GRETA, SHARON, MCEP and the
+    oracle (one group per seed) count what brute force counts."""
+    types = "RTS" if suffix else "RT"
+    rows = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        for t in sorted(rng.randint(0, 5) for _ in range(12)):
+            rows.append(dict(time=float(t), etype=rng.choice(types), gkey=seed, v=0.0, w=0.0))
+    pdf = pd.DataFrame(rows)
+    q = Query(qid="q", elems=seq(Atom("R"), Kleene("T"), *([Atom(suffix)] if suffix else [])),
+              window=10.0, slide=10.0)
+    sql = trend_count_sql(prefix_type="R", kleene_type="T", suffix_type=suffix, window=10.0)
+    got_sql = duckdb.connect().execute(sql.replace("events", "pdf")).fetchdf()
+    oracle = {int(r.gkey): r.value for r in got_sql.itertuples()}
+    for seed, sub in pdf.groupby("gkey"):
+        evs = [Event(r.time, r.etype, {"v": r.v, "w": r.w}) for r in sub.itertuples()]
+        got = {s: run_system(evs, [q], s).results[("q", 0.0)]["COUNT(*)"] for s in ("greta", "sharon", "mcep")}
+        got["oracle"] = oracle.get(seed, 0.0)  # the SQL has no row for a count of 0
+        assert got == dict.fromkeys(got, brute_results(evs, q)["COUNT(*)"]), seed

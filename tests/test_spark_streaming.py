@@ -270,9 +270,9 @@ def _global_names(blob: bytes) -> set:
 
 @pytest.mark.parametrize("system", ["greta", "hamlet"])
 def test_state_blob_holds_no_query_definitions(stream_pdf, system):
-    """The group state holds runtime aggregates only: the executor plans,
-    queries and templates are tokens that each copy of the function maps
-    to its own objects, and kernel tables stay in the plans. Checked on a
+    """The group state holds runtime state only: the executor plans are
+    tokens that each copy of the function maps to its own objects, and
+    queries, templates and kernel tables stay in the plans. Checked on a
     blob written by a cloudpickled copy while windows are open, for 50
     shared queries plus a non-Kleene one, and on a blob written while a
     burst that spans a pane boundary keeps Hamlet's shared graphlet open."""
@@ -284,7 +284,7 @@ def test_state_blob_holds_no_query_definitions(stream_pdf, system):
         list(_fresh_copy(func)((0,), iter([pane]), state))
     names = _global_names(state.get[0])
     # open windows' engines are in the blob
-    assert {"greta": "repro.core.greta", "hamlet": "repro.core.hamlet"}[system] in names
+    assert {"greta": "repro.baselines", "hamlet": "repro.core.hamlet"}[system] in names
     assert not names & {"repro.core.queries", "repro.core.template", "_Kernel"}
     # A tumbling window is its own pane, so the operator's graphlets close
     # within a call; a sliding workload's engines have 10-s panes, and

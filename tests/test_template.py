@@ -84,6 +84,29 @@ def test_empty_pattern_rejected():
         build_template(Query(qid="q", elems=seq(Neg("N"))))
 
 
+@pytest.mark.parametrize(
+    "elems",
+    [
+        seq(Neg("N"), Atom("A"), Kleene("B")),
+        seq(Atom("X"), GroupKleene(seq(Neg("N"), Atom("A"))), Atom("Y")),
+        seq(Atom("A"), Neg("N"), Neg("M"), Kleene("B")),
+        seq(Atom("X"), GroupKleene(seq(Atom("A"), Neg("N"))), Atom("Y")),
+        seq(Atom("X"), GroupKleene(seq(Atom("A"), Neg("N")))),
+    ],
+    ids=["first-in-seq", "first-in-group", "after-neg", "last-in-group", "last-in-last-group"],
+)
+def test_negation_without_a_transition_rejected(elems):
+    """A negation guards the transition between the positive elements
+    around it, or every earlier end when it ends the pattern. One first in
+    a sequence or a group, one right after another, or one last in a
+    Kleene group has no such place, and the template would drop it (of
+    NOT N, NOT M only M would block; a group's last NOT N would vanish, or
+    become the pattern's trailing negation), so each raises, naming the
+    query."""
+    with pytest.raises(ValueError, match="bad"):
+        build_template(Query(qid="bad", elems=elems))
+
+
 def test_merged_template_example3():
     """Fig. 3(b): the plan's B table is the merged template. Each transition
     into B is one edge, labelled with the queries that share it; B→B is
@@ -175,9 +198,3 @@ def test_plan_derives_kleene_type_and_pane():
     b = _q("b", window=90.0)
     assert HamletPlan([a]).pane == pytest.approx(60.0)
     assert HamletPlan([a, b]).pane == pytest.approx(30.0)
-
-
-def test_template_cache_reused():
-    q = _q("a")
-    t1 = build_template(q)
-    assert build_template(q) is t1
