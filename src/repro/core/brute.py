@@ -4,7 +4,8 @@ The online engines (GRETA, Hamlet) must never construct trends; this
 module deliberately does, on tiny inputs, to serve as the correctness
 oracle for every aggregate and pattern feature. A trend is a path in the
 match DAG (see DESIGN.md §2: skip-till-any-match semantics) from a
-start-type event to an end-type event.
+start-type event to an end-type event, each edge through the template's
+one transition between the two events' types.
 """
 from __future__ import annotations
 
@@ -36,24 +37,18 @@ def enumerate_trends(events: Sequence[Event], q: Query, tpl: Optional[Template] 
     blockers = _blocker_times(events, q, tpl)
 
     def edge_ok(prev: Event, cur: Event) -> bool:
-        if prev.time >= cur.time:
+        edges = tpl.pt.get(cur.etype, {})
+        if prev.time >= cur.time or prev.etype not in edges:
             return False
-        for edge in tpl.pt.get(cur.etype, ()):
-            if edge.ptype != prev.etype:
-                continue
-            if edge.blocker is not None and any(
-                prev.time < t < cur.time for t in blockers.get(edge.blocker, ())
-            ):
-                continue
-            if (
-                q.edge_pred is not None
-                and cur.etype in tpl.kleene
-                and prev.etype == cur.etype
-                and not q.edge_pred.ok(prev, cur)
-            ):
-                continue
-            return True
-        return False
+        blocker = edges[prev.etype]
+        if blocker is not None and any(prev.time < t < cur.time for t in blockers.get(blocker, ())):
+            return False
+        return (
+            q.edge_pred is None
+            or cur.etype not in tpl.kleene
+            or prev.etype != cur.etype
+            or q.edge_pred.ok(prev, cur)
+        )
 
     def end_ok(e: Event) -> bool:
         if e.etype not in tpl.end:

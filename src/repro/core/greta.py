@@ -3,7 +3,7 @@
 One :class:`GretaState` evaluates one query over one (group, window
 instance): every matched event is inserted into the query graph, its
 intermediate trend count (Eq. 2) is computed by iterating over its
-predecessor events, and final aggregates accumulate over end-type events
+predecessor events, each predecessor type of its template once, and final aggregates accumulate over end-type events
 (Eq. 3). A predecessor is strictly earlier (DESIGN.md §2's edge rule
 ``e'.time < e.time``), so events of one timestamp never precede each
 other. The per-event predecessor iteration is deliberate — it is the
@@ -142,9 +142,8 @@ class GretaState:
         if e.etype not in tpl.types or not self.q.matches(e):
             return
         vals = [1 if e.etype in tpl.start else 0] + [0.0] * len(self.channels)
-        # in the template's (sorted) edge order, not a set's hash order
-        ptypes = dict.fromkeys(edge.ptype for edge in tpl.pt.get(e.etype, ()))
-        for ptype in ptypes:
+        # in the template's (sorted) predecessor type order
+        for ptype in tpl.pt.get(e.etype, {}):
             for rec in self.recs.get(ptype, ()):  # THE O(n) loop (Eq. 4)
                 self.ops += 1
                 if rec.event.time < e.time and edge_ok(self.q, tpl, rec.event, e, self.blocker_times):

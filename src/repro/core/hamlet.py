@@ -39,7 +39,9 @@ stores the event into its type's totals. Eq. 3 sums over end events, so a
 query's result is its end type's totals; only under a trailing negation,
 which voids the sum so far, is it a separate pending column.
 The tables are the paper's merged template (Fig. 3(b)): a transition is
-one entry, labelled with the positions that share it. Non-Kleene events
+one entry, labelled with the positions that share it, and a template has
+one transition per predecessor type, so no position takes a predecessor
+type twice. Non-Kleene events
 and a burst's non-sharers run the kernel, and a negative event copies the
 totals into the cuts at its positions. A shared graphlet's entry
 snapshot is the same predecessor pass over the sharers; closing it
@@ -269,18 +271,15 @@ class HamletPlan:
         # the per-type totals never gain a key, so the memory estimate counts
         # them once
         self.totals_entries = sum(len(t.types) for t in self.tpls.values())
-        self.p_avg = sum(
-            len(self.tpls[q.qid].pt.get(self.E, ())) for q in self.qs
-        ) / max(len(self.qs), 1)
+        self.p_avg = sum(len(self.tpls[q.qid].pt.get(self.E, {})) for q in self.qs) / self.k
 
     def _kernel(self, t: str, records: bool = True) -> _Kernel:
         """Event type ``t``'s kernel tables over every position whose
-        template has it. ``E`` is never negative: its events form bursts.
-        With ``records``, an edge-predicate query's same-type predecessors
-        are its stored records, not a predecessor edge."""
+        template has it; with ``records``, an edge-predicate query's
+        same-type predecessors are its stored records, not an edge."""
         mine = [(i, q, tpl) for i, q in enumerate(self.qs) if t in (tpl := self.tpls[q.qid]).types]
-        pos = [m for m in mine if t == self.E or t not in m[2].neg_types]
-        neg = [m for m in mine if t != self.E and t in m[2].neg_types]
+        pos = [m for m in mine if t not in m[2].neg_types]
+        neg = [m for m in mine if t in m[2].neg_types]
         recs = tuple(
             (i, (q.qid, t), q.edge_pred)
             for i, q, tpl in pos
@@ -290,17 +289,17 @@ class HamletPlan:
         # one entry per transition (Fig. 3(b)), labelled with its positions
         edges: dict[tuple, list[int]] = {}
         for i, _, tpl in pos:
-            for edge in tpl.pt.get(t, ()):
-                if i not in with_recs or edge.ptype != t:
-                    edges.setdefault((edge.ptype, edge.blocker), []).append(i)
+            for ptype, blocker in tpl.pt.get(t, {}).items():
+                if i not in with_recs or ptype != t:
+                    edges.setdefault((ptype, blocker), []).append(i)
         cuts: dict[tuple, list[int]] = {}
         for i, _, tpl in neg:
-            blocked = (x.ptype for es in tpl.pt.values() for x in es if x.blocker == t)
+            blocked = (p for es in tpl.pt.values() for p, b in es.items() if b == t)
             for ptype in dict.fromkeys(blocked):
                 cuts.setdefault((ptype, t), []).append(i)
         return _Kernel(
             tuple(i for i, _, _ in pos),
-            # sorted as ``build_template`` sorts ``pt``: each position sums in its own order
+            # by ptype, as ``build_template`` sorts ``pt``: each position sums in its own order
             _lead_first(
                 tuple((pt, b, tuple(edges[pt, b])) for pt, b in sorted(edges, key=lambda e: (e[0], e[1] or ""))),
                 self.k,

@@ -2,17 +2,17 @@
 
 A *query template* is the FSA-flavoured summary of one pattern: which
 event types appear, which types start/end trends, and the predecessor
-type relation ``pt(E, q)`` with optional negation blockers on
-transitions. Its ``kleene`` types are the pattern's Kleene sub-patterns
-(Definition 4), nested ones included. The paper's *merged template*
-(Fig. 3(b)), each transition labelled with the queries that share it, is
-the sharable set's kernel tables (``hamlet.HamletPlan.kernels``): one
-predecessor edge per transition, labelled with the positions that take
-it. Workload analysis splits a workload into sharable sets (Definition 5),
-one query tuple each, a query that shares with no other being a set of
-one; ``pane_size`` is the gcd of windows and slides. A plan derives its
-Kleene type and pane from its set's queries, and builds their templates
-once per workload.
+type relation ``pt(E, q)``: one transition per (type, predecessor type),
+with an optional negation blocker. Its ``kleene`` types are the pattern's
+Kleene sub-patterns (Definition 4), nested ones included. The paper's
+*merged template* (Fig. 3(b)), each transition labelled with the queries
+that share it, is the sharable set's kernel tables
+(``hamlet.HamletPlan.kernels``): one predecessor edge per transition,
+labelled with the positions that take it. Workload analysis splits a
+workload into sharable sets (Definition 5), one query tuple each, a query
+that shares with no other being a set of one; ``pane_size`` is the gcd of
+windows and slides. A plan derives its Kleene type and pane from its
+set's queries, and builds their templates once per workload.
 """
 from __future__ import annotations
 
@@ -25,24 +25,16 @@ from .events import Event
 from .queries import Atom, GroupKleene, Kleene, Neg, Query
 
 
-@dataclass(frozen=True)
-class PtEdge:
-    """One predecessor-type edge: events of ``ptype`` precede events of the
-    owning type; ``blocker`` (if set) is a negated type that severs
-    connections across its matched occurrences (§5, Pattern with Negation)."""
-
-    ptype: str
-    blocker: Optional[str] = None
-
-
 @dataclass
 class Template:
-    """Per-query template: Example 2's ``start``/``end``/``pt`` relations."""
+    """Per-query template: Example 2's ``start``/``end``/``pt`` relations.
+    ``pt[E][P]`` is the transition ``P → E``: the negated type whose matched
+    events sever it (§5, Pattern with Negation), or ``None``."""
 
     types: frozenset
     start: frozenset
     end: frozenset
-    pt: Mapping[str, tuple]  # etype -> tuple[PtEdge, ...]
+    pt: Mapping[str, Mapping[str, Optional[str]]]  # etype -> {ptype: blocker or None}
     kleene: frozenset  # single-type Kleene-plus types (Definition 4)
     neg_types: frozenset
     trailing_neg: Optional[str] = None  # SEQ(..., NOT N) — invalidates earlier ends
@@ -56,19 +48,27 @@ def build_template(q: Query) -> Template:
     transition as blocked by the negated type; ``GroupKleene`` adds the
     §5 back-loop from its inner end types to its inner start types.
 
-    A ``ValueError`` naming the query rejects a negation that would guard
-    no transition: one first in a sequence or a group, one right after
-    another, and one last in a group.
+    A transition is added once per (type, predecessor type): an unblocked
+    one absorbs a blocked one, as :func:`edge_ok` takes either. A
+    ``ValueError`` naming the query rejects a negation that would guard no
+    transition (one first in a sequence or a group, one right after
+    another, and one last in a group), two negations guarding one
+    transition, a type both negated and matched, and a group with no
+    positive element.
     """
-    pt: dict[str, set[PtEdge]] = {}
-    types: set[str] = set()
+    pt: dict[str, dict[str, Optional[str]]] = {}
+    matched: set[str] = set()
     neg_types: set[str] = set()
     kleene: set[str] = set()
     start: set[str] = set()
     trailing_neg: Optional[str] = None
 
     def add_edge(etype: str, ptype: str, blocker: Optional[str]) -> None:
-        pt.setdefault(etype, set()).add(PtEdge(ptype, blocker))
+        old = pt.setdefault(etype, {}).setdefault(ptype, blocker)
+        if old is None or blocker is None:
+            pt[etype][ptype] = None
+        elif old != blocker:
+            raise ValueError(f"{q.qid}: NOT {old} and NOT {blocker} both guard {ptype} -> {etype}")
 
     def walk(elems: Sequence, prev_ends: set[str], blocker: Optional[str], first: bool):
         """Returns (prev_ends, blocker, first) after consuming ``elems``."""
@@ -77,7 +77,6 @@ def build_template(q: Query) -> Template:
             if isinstance(el, Neg):
                 if i == 0 or isinstance(elems[i - 1], Neg):
                     raise ValueError(f"{q.qid}: NOT {el.etype} must follow a positive element")
-                types.add(el.etype)
                 neg_types.add(el.etype)
                 blocker = el.etype
                 trailing_neg = el.etype  # provisional; cleared by a later positive elem
@@ -85,7 +84,7 @@ def build_template(q: Query) -> Template:
             trailing_neg = None
             if isinstance(el, Atom) or isinstance(el, Kleene):
                 e = el.etype
-                types.add(e)
+                matched.add(e)
                 for p in prev_ends:
                     add_edge(e, p, blocker)
                 if isinstance(el, Kleene):
@@ -97,7 +96,7 @@ def build_template(q: Query) -> Template:
                 prev_ends = {e}
                 blocker = None
             elif isinstance(el, GroupKleene):
-                inner_first_types = _first_positive_types(el.elems)
+                inner_first_types = _first_positive_types(el.elems, q.qid)
                 if isinstance(el.elems[-1], Neg):
                     raise ValueError(f"{q.qid}: NOT {el.elems[-1].etype} cannot end a Kleene group")
                 if first:
@@ -120,11 +119,13 @@ def build_template(q: Query) -> Template:
     prev_ends, _, first = walk(q.elems, set(), None, True)
     if first:
         raise ValueError(f"pattern of {q.qid} has no positive element")
+    if both := matched & neg_types:
+        raise ValueError(f"{q.qid}: {min(both)} is both negated and matched")
     return Template(
-        types=frozenset(types),
+        types=frozenset(matched | neg_types),
         start=frozenset(start),
         end=frozenset(prev_ends),
-        pt={e: tuple(sorted(v, key=lambda x: (x.ptype, x.blocker or ""))) for e, v in pt.items()},
+        pt={e: dict(sorted(v.items())) for e, v in pt.items()},
         kleene=frozenset(kleene),
         neg_types=frozenset(neg_types),
         trailing_neg=trailing_neg,
@@ -136,27 +137,23 @@ def edge_ok(
 ) -> bool:
     """Match-DAG edge rule: may ``prev`` precede ``cur`` in a trend of ``q``?
 
-    Some pt-edge from ``prev``'s type must hold: no matched event of its
-    negation blocker lies strictly between the two (``blockers`` holds the
-    matched blocker times), and the Kleene edge predicate holds for
+    ``prev``'s type has a transition into ``cur``'s, no matched event of
+    its negation blocker lies strictly between the two (``blockers`` holds
+    the matched blocker times), and the Kleene edge predicate holds for
     adjacent events of one Kleene type. Event times are the caller's to
     check."""
-    for edge in tpl.pt.get(cur.etype, ()):
-        if edge.ptype != prev.etype:
-            continue
-        if edge.blocker is not None and any(
-            prev.time < t < cur.time for t in blockers.get(edge.blocker, ())
-        ):
-            continue
-        if (
-            q.edge_pred is not None
-            and cur.etype in tpl.kleene
-            and prev.etype == cur.etype
-            and not q.edge_pred.ok(prev, cur)
-        ):
-            continue
-        return True
-    return False
+    edges = tpl.pt.get(cur.etype, {})
+    if prev.etype not in edges:
+        return False
+    blocker = edges[prev.etype]
+    if blocker is not None and any(prev.time < t < cur.time for t in blockers.get(blocker, ())):
+        return False
+    return (
+        q.edge_pred is None
+        or cur.etype not in tpl.kleene
+        or prev.etype != cur.etype
+        or q.edge_pred.ok(prev, cur)
+    )
 
 
 def end_ok(tpl: Template, e: Event, blockers: Mapping[str, Sequence[float]]) -> bool:
@@ -169,13 +166,13 @@ def end_ok(tpl: Template, e: Event, blockers: Mapping[str, Sequence[float]]) -> 
     )
 
 
-def _first_positive_types(elems: Sequence) -> set[str]:
+def _first_positive_types(elems: Sequence, qid: str) -> set[str]:
     for el in elems:
         if isinstance(el, (Atom, Kleene)):
             return {el.etype}
         if isinstance(el, GroupKleene):
-            return _first_positive_types(el.elems)
-    raise ValueError("pattern group has no positive element")
+            return _first_positive_types(el.elems, qid)
+    raise ValueError(f"{qid}: pattern group has no positive element")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 workload analysis (paper §3.1, Examples 2/3/10, Definitions 4/5)."""
 import pytest
 
+from repro.core.brute import brute_results
+from repro.core.events import Event
+from repro.core.greta import run_greta
 from repro.core.hamlet import HamletPlan
 from repro.core.queries import (
     AggSpec,
@@ -14,7 +17,6 @@ from repro.core.queries import (
     seq,
 )
 from repro.core.template import (
-    PtEdge,
     agg_signature,
     build_template,
     pane_size,
@@ -23,7 +25,7 @@ from repro.core.template import (
 
 
 def _pt_types(tpl, etype):
-    return {e.ptype for e in tpl.pt.get(etype, ())}
+    return set(tpl.pt.get(etype, {}))
 
 
 def test_example2_seq_a_bplus():
@@ -58,8 +60,7 @@ def test_multi_atom_prefix():
 
 def test_negation_blocks_transition():
     tpl = build_template(Query(qid="q", elems=seq(Atom("A"), Neg("N"), Kleene("B"))))
-    edges = tpl.pt["B"]
-    assert PtEdge("A", "N") in edges and PtEdge("B", None) in edges
+    assert tpl.pt["B"] == {"A": "N", "B": None}
     assert "N" in tpl.neg_types and tpl.trailing_neg is None
 
 
@@ -105,6 +106,57 @@ def test_negation_without_a_transition_rejected(elems):
     query."""
     with pytest.raises(ValueError, match="bad"):
         build_template(Query(qid="bad", elems=elems))
+
+
+def test_unblocked_transition_absorbs_blocked():
+    """SEQ(A, B+, NOT N, B): B follows B through the Kleene loop and across
+    NOT N, one transition, unblocked. GRETA takes either edge, so its count
+    is brute force's with an N between two B's too."""
+    q = Query(qid="q", elems=seq(Atom("A"), Kleene("B"), Neg("N"), Atom("B")))
+    assert build_template(q).pt["B"] == {"A": None, "B": None}
+    events = [Event(float(t), et, {}) for t, et in enumerate("ABNBB", 1)]
+    assert run_greta(events, q)["COUNT(*)"] == brute_results(events, q)["COUNT(*)"] == 7.0
+
+
+@pytest.mark.parametrize(
+    "elems",
+    [
+        seq(Atom("A"), Neg("N"), Kleene("B"), Atom("A"), Neg("M"), Atom("B")),
+        seq(Atom("A"), Neg("N"), GroupKleene(seq(Atom("B"), Atom("C"))), Atom("A"), Neg("M"), Atom("B")),
+    ],
+    ids=["seq", "into-group"],
+)
+def test_two_negations_on_one_transition_rejected(elems):
+    """A → B guarded by NOT N in one place and NOT M in another: an edge
+    may pass either, and Hamlet's kernel could take it twice."""
+    with pytest.raises(ValueError, match="bad: NOT N and NOT M both guard"):
+        build_template(Query(qid="bad", elems=elems))
+
+
+@pytest.mark.parametrize(
+    "elems",
+    [
+        seq(Atom("A"), Kleene("B"), Neg("B"), Atom("C")),
+        seq(Atom("A"), Neg("C"), Atom("B"), Atom("C")),
+        seq(Kleene("A"), Neg("N"), GroupKleene(seq(Atom("B"), Neg("A"), Atom("C")))),
+    ],
+    ids=["kleene", "atom", "in-group"],
+)
+def test_negated_and_matched_type_rejected(elems):
+    """Brute force and GRETA drop a negated type's matched role, where
+    Hamlet's kernel would keep a Kleene one: a type is one or the other."""
+    with pytest.raises(ValueError, match="bad: [ABC] is both negated and matched"):
+        build_template(Query(qid="bad", elems=elems))
+
+
+@pytest.mark.parametrize(
+    "elems",
+    [seq(Atom("A"), GroupKleene(seq(Neg("N")))), seq(Atom("A"), GroupKleene(()))],
+    ids=["negation-only", "empty"],
+)
+def test_group_without_positive_element_names_query(elems):
+    with pytest.raises(ValueError, match="qX: pattern group has no positive element"):
+        build_template(Query(qid="qX", elems=elems))
 
 
 def test_merged_template_example3():
