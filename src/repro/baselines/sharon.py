@@ -26,6 +26,7 @@ from ..core.events import Event
 from ..core.hamlet import Metrics
 from . import BufferedEngine
 from ..core.queries import Atom, Kleene, Query
+from ..core.template import build_template
 
 
 def _flatten_steps(q: Query) -> tuple[list, str, list]:
@@ -61,6 +62,7 @@ class SharonPlan:
     def __init__(self, queries: Sequence[Query], *, l_max: Optional[int] = None):
         self.qs = tuple(queries)
         for q in self.qs:
+            build_template(q)  # rejects what every other system's template rejects
             for a in q.aggs:
                 if a.fn != "COUNT_STAR":
                     raise ValueError("SHARON reproduction evaluates COUNT(*) workloads")

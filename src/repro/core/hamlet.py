@@ -254,6 +254,7 @@ class HamletPlan:
         ker = self.kernels.get(self.E) or self._kernel(self.E)  # empty if E is None
         # a graphlet's entry snapshot: E's predecessor sums for every
         # sharer, edge-predicate queries included
+        # (not ``kernels[E]``: edge-predicate sharers lose E -> E, and Table 5's y reads (34, 4), not (34, 15))
         self.e_open = self._kernel(self.E, records=False)
         # E's tables at the positions without and with stored records: in an
         # event snapshot the former take the graphlet so far as predecessors
@@ -294,8 +295,7 @@ class HamletPlan:
                     edges.setdefault((ptype, blocker), []).append(i)
         cuts: dict[tuple, list[int]] = {}
         for i, _, tpl in neg:
-            blocked = (p for es in tpl.pt.values() for p, b in es.items() if b == t)
-            for ptype in dict.fromkeys(blocked):
+            for ptype in (p for es in tpl.pt.values() for p, b in es.items() if b == t):
                 cuts.setdefault((ptype, t), []).append(i)
         return _Kernel(
             tuple(i for i, _, _ in pos),

@@ -2,17 +2,17 @@
 
 A *query template* is the FSA-flavoured summary of one pattern: which
 event types appear, which types start/end trends, and the predecessor
-type relation ``pt(E, q)``: one transition per (type, predecessor type),
-with an optional negation blocker. Its ``kleene`` types are the pattern's
-Kleene sub-patterns (Definition 4), nested ones included. The paper's
-*merged template* (Fig. 3(b)), each transition labelled with the queries
-that share it, is the sharable set's kernel tables
+type relation ``pt(E, q)``. As in Example 2, each matched type is one
+state, so a pattern matches each type once. Its ``kleene`` types are the
+pattern's Kleene sub-patterns (Definition 4), nested ones included. The
+paper's *merged template* (Fig. 3(b)), each transition labelled with the
+queries that share it, is the sharable set's kernel tables
 (``hamlet.HamletPlan.kernels``): one predecessor edge per transition,
 labelled with the positions that take it. Workload analysis splits a
-workload into sharable sets (Definition 5), one query tuple each, a query
-that shares with no other being a set of one; ``pane_size`` is the gcd of
-windows and slides. A plan derives its Kleene type and pane from its
-set's queries, and builds their templates once per workload.
+workload into sharable sets (Definition 5), one query tuple each, a
+query that shares with no other being a set of one; ``pane_size`` is the
+gcd of windows and slides. A plan derives its Kleene type and pane from
+its set's queries, and builds their templates once per workload.
 """
 from __future__ import annotations
 
@@ -48,13 +48,12 @@ def build_template(q: Query) -> Template:
     transition as blocked by the negated type; ``GroupKleene`` adds the
     §5 back-loop from its inner end types to its inner start types.
 
-    A transition is added once per (type, predecessor type): an unblocked
-    one absorbs a blocked one, as :func:`edge_ok` takes either. A
-    ``ValueError`` naming the query rejects a negation that would guard no
+    Each matched type is one state, so a ``ValueError`` naming the query
+    rejects a type matched twice (by ``Atom`` or ``Kleene``, at any group
+    depth) and a type both negated and matched; a negated type may guard
+    several transitions. It also rejects a negation that would guard no
     transition (one first in a sequence or a group, one right after
-    another, and one last in a group), two negations guarding one
-    transition, a type both negated and matched, and a group with no
-    positive element.
+    another, and one last in a group) and a group with no positive element.
     """
     pt: dict[str, dict[str, Optional[str]]] = {}
     matched: set[str] = set()
@@ -64,11 +63,7 @@ def build_template(q: Query) -> Template:
     trailing_neg: Optional[str] = None
 
     def add_edge(etype: str, ptype: str, blocker: Optional[str]) -> None:
-        old = pt.setdefault(etype, {}).setdefault(ptype, blocker)
-        if old is None or blocker is None:
-            pt[etype][ptype] = None
-        elif old != blocker:
-            raise ValueError(f"{q.qid}: NOT {old} and NOT {blocker} both guard {ptype} -> {etype}")
+        pt.setdefault(etype, {})[ptype] = blocker
 
     def walk(elems: Sequence, prev_ends: set[str], blocker: Optional[str], first: bool):
         """Returns (prev_ends, blocker, first) after consuming ``elems``."""
@@ -84,6 +79,8 @@ def build_template(q: Query) -> Template:
             trailing_neg = None
             if isinstance(el, Atom) or isinstance(el, Kleene):
                 e = el.etype
+                if e in matched:
+                    raise ValueError(f"{q.qid}: {e} is matched twice")
                 matched.add(e)
                 for p in prev_ends:
                     add_edge(e, p, blocker)

@@ -2,9 +2,6 @@
 workload analysis (paper §3.1, Examples 2/3/10, Definitions 4/5)."""
 import pytest
 
-from repro.core.brute import brute_results
-from repro.core.events import Event
-from repro.core.greta import run_greta
 from repro.core.hamlet import HamletPlan
 from repro.core.queries import (
     AggSpec,
@@ -108,14 +105,25 @@ def test_negation_without_a_transition_rejected(elems):
         build_template(Query(qid="bad", elems=elems))
 
 
-def test_unblocked_transition_absorbs_blocked():
-    """SEQ(A, B+, NOT N, B): B follows B through the Kleene loop and across
-    NOT N, one transition, unblocked. GRETA takes either edge, so its count
-    is brute force's with an N between two B's too."""
-    q = Query(qid="q", elems=seq(Atom("A"), Kleene("B"), Neg("N"), Atom("B")))
-    assert build_template(q).pt["B"] == {"A": None, "B": None}
-    events = [Event(float(t), et, {}) for t, et in enumerate("ABNBB", 1)]
-    assert run_greta(events, q)["COUNT(*)"] == brute_results(events, q)["COUNT(*)"] == 7.0
+@pytest.mark.parametrize(
+    "elems",
+    [
+        seq(Atom("A"), Kleene("B"), Neg("N"), Atom("B")),
+        seq(Atom("A"), Atom("B"), Atom("C"), Atom("B")),
+        seq(Atom("A"), GroupKleene(seq(Atom("B"), Atom("C"))), Kleene("B")),
+        seq(Kleene("A"), GroupKleene(seq(GroupKleene(seq(Atom("B"), Atom("C"))), Atom("A")))),
+    ],
+    ids=["across-negation", "atoms", "in-group", "nested-group"],
+)
+def test_type_matched_twice_rejected(elems):
+    """A template has one state per matched type (Example 2), so a second
+    position of one type would merge into the first, and trends could
+    skip the required positions. Over A(1), B(2), N(3), B(4), B(5), SEQ(A,
+    B+, NOT N, B) has two trends, A1 B4 B5 and A1 B2 B4 B5; read at the
+    type level it counted 7, one per nonempty set of the B's. The
+    template rejects it instead, naming the query."""
+    with pytest.raises(ValueError, match="bad: [AB] is matched twice"):
+        build_template(Query(qid="bad", elems=elems))
 
 
 @pytest.mark.parametrize(
@@ -127,9 +135,9 @@ def test_unblocked_transition_absorbs_blocked():
     ids=["seq", "into-group"],
 )
 def test_two_negations_on_one_transition_rejected(elems):
-    """A → B guarded by NOT N in one place and NOT M in another: an edge
-    may pass either, and Hamlet's kernel could take it twice."""
-    with pytest.raises(ValueError, match="bad: NOT N and NOT M both guard"):
+    """A → B guarded by NOT N in one place and NOT M in another needs A
+    and B matched twice, which the template rejects first."""
+    with pytest.raises(ValueError, match="bad: A is matched twice"):
         build_template(Query(qid="bad", elems=elems))
 
 
